@@ -11,7 +11,7 @@
 
 #include "mbr/candidates.hpp"
 #include "mbr/composition.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 #include "util/table.hpp"
 
 using namespace mbrc;

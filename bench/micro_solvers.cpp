@@ -6,11 +6,12 @@
 
 #include "geom/convex_hull.hpp"
 #include "ilp/set_partition.hpp"
-#include "lp/simplex.hpp"
 #include "mbr/candidates.hpp"
 #include "mbr/cliques.hpp"
 #include "mbr/placement.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/placement_lp.hpp"
+#include "reference/simplex.hpp"
+#include "reference/worked_example.hpp"
 #include "util/rng.hpp"
 
 using namespace mbrc;

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "mbr/flow.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 #include "sta/sta.hpp"
 
 using namespace mbrc;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "lib/technology.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::cts {
@@ -14,6 +15,12 @@ using netlist::CellId;
 using netlist::Design;
 using netlist::NetId;
 
+// Clusters are grown until this fraction of the largest buffer's max load
+// is reached (head-room for the real CTS's skew balancing).
+constexpr double kLoadUtilization = 0.85;
+// Maximum sinks a single buffer may drive regardless of load.
+constexpr int kMaxFanout = 24;
+
 struct Node {
   geom::Point position;
   double cap = 0.0;  // input cap seen by the level above
@@ -21,18 +28,17 @@ struct Node {
 
 // Groups `nodes` into clusters bounded by load/fanout, inserting one buffer
 // per cluster. Returns the next level's nodes and accumulates stats. With
-// `fanout_only` the load budget is ignored and clusters close on max_fanout
+// `fanout_only` the load budget is ignored and clusters close on kMaxFanout
 // alone, so the level shrinks by that factor no matter how far apart the
 // nodes sit (see the progress guarantee in collapse_to_root).
 std::vector<Node> cluster_level(std::vector<Node> nodes,
                                 const lib::Library& library,
-                                const CtsOptions& options,
                                 ClockTreeStats& stats,
                                 bool fanout_only = false) {
   MBRC_ASSERT(!library.clock_buffers().empty());
   const auto& buffers = library.clock_buffers();
   const double max_load =
-      options.load_utilization *
+      kLoadUtilization *
       std::max_element(buffers.begin(), buffers.end(),
                        [](const auto& a, const auto& b) {
                          // mbrc-lint: allow(R2, max_element is order-stable -- first maximum over the deterministic library order -- and only the max_load_cap value is read)
@@ -69,7 +75,7 @@ std::vector<Node> cluster_level(std::vector<Node> nodes,
     geom::Point centroid{0, 0};
     double sink_cap = 0.0;
     while (i < nodes.size() &&
-           static_cast<int>(cluster.size()) < options.max_fanout) {
+           static_cast<int>(cluster.size()) < kMaxFanout) {
       const Node& cand = nodes[i];
       // Predict the star wire cap with the candidate included.
       geom::Point c{(centroid.x * cluster.size() + cand.position.x) /
@@ -80,7 +86,7 @@ std::vector<Node> cluster_level(std::vector<Node> nodes,
       for (const Node* m : cluster) star += geom::manhattan(c, m->position);
       star += geom::manhattan(c, cand.position);
       const double load =
-          sink_cap + cand.cap + star * options.wire_cap_per_um;
+          sink_cap + cand.cap + star * lib::kWireCapPerUm;
       if (!fanout_only && !cluster.empty() && load > max_load) break;
       cluster.push_back(&cand);
       centroid = c;
@@ -91,7 +97,7 @@ std::vector<Node> cluster_level(std::vector<Node> nodes,
     double star = 0.0;
     for (const Node* m : cluster)
       star += geom::manhattan(centroid, m->position);
-    const double wire_cap = star * options.wire_cap_per_um;
+    const double wire_cap = star * lib::kWireCapPerUm;
     const double load = sink_cap + wire_cap;
 
     // Smallest buffer that can drive the cluster (largest as fallback).
@@ -120,21 +126,20 @@ std::vector<Node> cluster_level(std::vector<Node> nodes,
 // load-budgeted level can return every node as its own singleton cluster
 // -- same size as its input, looping forever (a physical tree drives such
 // spans through repeater chains instead of giving up). When a level makes
-// no progress it is redone fanout-only, which shrinks it by max_fanout and
+// no progress it is redone fanout-only, which shrinks it by kMaxFanout and
 // charges the same wire and buffer caps; the overloaded buffers stand in
 // for the repeaters the estimate does not model.
 std::vector<Node> collapse_to_root(std::vector<Node> level,
                                    const lib::Library& library,
-                                   const CtsOptions& options,
                                    ClockTreeStats& stats) {
-  MBRC_ASSERT(options.max_fanout >= 2);
+  static_assert(kMaxFanout >= 2);
   int levels = 0;
   while (level.size() > 1) {
     const std::size_t before = level.size();
-    level = cluster_level(std::move(level), library, options, stats);
+    level = cluster_level(std::move(level), library, stats);
     ++levels;
     if (level.size() == before) {
-      level = cluster_level(std::move(level), library, options, stats,
+      level = cluster_level(std::move(level), library, stats,
                             /*fanout_only=*/true);
       ++levels;
     }
@@ -146,7 +151,7 @@ std::vector<Node> collapse_to_root(std::vector<Node> level,
 }  // namespace
 
 ClockTreeStats estimate_clock_tree(const netlist::Design& design,
-                                   const CtsOptions& options) {
+                                   const CtsOptions& /*options*/) {
   ClockTreeStats stats;
 
   // Leaf sinks grouped by (clock net, gating group): each group forms its
@@ -173,13 +178,13 @@ ClockTreeStats estimate_clock_tree(const netlist::Design& design,
   std::map<std::int32_t, std::vector<Node>> roots_per_clock;
   for (auto& [key, nodes] : groups) {
     std::vector<Node> level =
-        collapse_to_root(std::move(nodes), design.library(), options, stats);
+        collapse_to_root(std::move(nodes), design.library(), stats);
     if (!level.empty()) roots_per_clock[key.first].push_back(level.front());
   }
 
   // Combine gating-group roots up to one root per clock net.
   for (auto& [clock, roots] : roots_per_clock)
-    collapse_to_root(std::move(roots), design.library(), options, stats);
+    collapse_to_root(std::move(roots), design.library(), stats);
   return stats;
 }
 

@@ -18,14 +18,9 @@
 
 namespace mbrc::cts {
 
-struct CtsOptions {
-  double wire_cap_per_um = 0.20;  // fF / um of clock wire
-  /// Clusters are grown until this fraction of the largest buffer's max load
-  /// is reached (head-room for the real CTS's skew balancing).
-  double load_utilization = 0.85;
-  /// Maximum sinks a single buffer may drive regardless of load.
-  int max_fanout = 24;
-};
+/// The estimator has no knobs; the struct keeps estimate_clock_tree's
+/// signature stable. Clock wire uses lib::kWireCapPerUm.
+struct CtsOptions {};
 
 struct ClockTreeStats {
   int sinks = 0;             // register clock pins

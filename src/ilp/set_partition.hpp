@@ -11,8 +11,9 @@
 // available candidates, with an additive lower bound: each uncovered element
 // must pay at least min over covering candidates of (w / cover-size).
 //
-// A generic simplex-based branch & bound (ilp/branch_and_bound.hpp) solves
-// the same models in tests to cross-validate optimality.
+// The test-only generic simplex-based branch & bound
+// (reference/branch_and_bound.hpp) solves the same models to cross-validate
+// optimality.
 #pragma once
 
 #include <cstdint>

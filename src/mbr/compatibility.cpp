@@ -101,9 +101,16 @@ netlist::NetId control_net(const netlist::Design& design, netlist::CellId cell,
   return pin.valid() ? design.pin(pin).net : netlist::NetId{};
 }
 
-double clamp_slack(double slack, const CompatibilityOptions& options) {
-  if (slack == sta::kNoRequired) return options.slack_clamp;
-  return std::clamp(slack, -options.slack_clamp, options.slack_clamp);
+// Slacks are clamped to +/- this before sign/similarity checks, so a
+// hugely positive slack does not block merging with a modest one.
+constexpr double kSlackClamp = 0.40;
+// Slacks within +/- this of zero are sign-neutral for the "no opposite D/Q
+// signs" rule.
+constexpr double kSignEpsilon = 0.01;
+
+double clamp_slack(double slack) {
+  if (slack == sta::kNoRequired) return kSlackClamp;
+  return std::clamp(slack, -kSlackClamp, kSlackClamp);
 }
 
 }  // namespace
@@ -121,8 +128,8 @@ RegisterInfo make_register_info(const netlist::Design& design,
   info.footprint = cell.footprint();
   info.region = sta::timing_feasible_region(design, timing, cell_id,
                                             options.region);
-  info.d_slack = clamp_slack(timing.register_d_slack(design, cell_id), options);
-  info.q_slack = clamp_slack(timing.register_q_slack(design, cell_id), options);
+  info.d_slack = clamp_slack(timing.register_d_slack(design, cell_id));
+  info.q_slack = clamp_slack(timing.register_q_slack(design, cell_id));
   info.drive_resistance = cell.reg->drive_resistance;
   info.clock_net = design.register_clock_net(cell_id);
   info.gating_group = cell.gating_group;
@@ -163,7 +170,7 @@ bool timing_compatible(const RegisterInfo& a, const RegisterInfo& b,
   // Opposite D/Q slack-sign profiles pull the useful-skew assignment of the
   // merged MBR in opposite directions (Sec. 2): a negative-D register wants
   // a later clock, a negative-Q register an earlier one.
-  const double eps = options.sign_epsilon;
+  const double eps = kSignEpsilon;
   const auto wants_later = [&](const RegisterInfo& r) {
     return r.d_slack < -eps && r.q_slack > eps;
   };

@@ -27,12 +27,6 @@ struct CompatibilityOptions {
   /// Max |slack_a - slack_b| on the D side and on the Q side (ns). Sec. 2:
   /// registers of very different criticality must not merge.
   double slack_similarity = 0.20;
-  /// Slacks are clamped to +/- this before sign/similarity checks, so a
-  /// hugely positive slack does not block merging with a modest one.
-  double slack_clamp = 0.40;
-  /// Treat slacks within +/- this of zero as sign-neutral when enforcing the
-  /// "no opposite D/Q signs" rule.
-  double sign_epsilon = 0.01;
   /// Cheap pre-filter: register centers farther apart than this never merge
   /// (um). Keeps the graph sparse on large designs.
   double max_distance = 60.0;

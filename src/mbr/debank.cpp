@@ -12,6 +12,14 @@ namespace {
 
 using netlist::CellId;
 
+// Split banks whose worst constrained bit has less slack (ns) than this:
+// failing banks only.
+constexpr double kSlackThreshold = 0.0;
+// At most this many banks are split per call, worst slack first. Keeps each
+// loop iteration's perturbation small enough that the accept/revert
+// decision in the flow stays meaningful.
+constexpr std::size_t kMaxBanksPerIteration = 8;
+
 struct Critical {
   double slack = 0.0;
   CellId cell;
@@ -51,7 +59,7 @@ DebankResult debank_critical_registers(const DebankOptions& options,
     const double slack = std::min(timing.register_d_slack(design, cell_id),
                                   timing.register_q_slack(design, cell_id));
     if (slack == sta::kNoRequired) continue;  // fully unconstrained
-    if (slack >= options.slack_threshold) continue;
+    if (slack >= kSlackThreshold) continue;
     critical.push_back({slack, cell_id});
   }
 
@@ -62,10 +70,8 @@ DebankResult debank_critical_registers(const DebankOptions& options,
               if (a.slack != b.slack) return a.slack < b.slack;
               return a.cell < b.cell;
             });
-  if (options.max_banks_per_iteration >= 0 &&
-      critical.size() >
-          static_cast<std::size_t>(options.max_banks_per_iteration))
-    critical.resize(static_cast<std::size_t>(options.max_banks_per_iteration));
+  if (critical.size() > kMaxBanksPerIteration)
+    critical.resize(kMaxBanksPerIteration);
 
   DecomposeResult split;
   for (const Critical& c : critical) {

@@ -11,7 +11,7 @@
 //
 // This pass selects the timing-critical banks worth that trade: MBRs whose
 // worst constrained bit -- min over the bank's constrained D and Q pins --
-// has slack below `slack_threshold`. It reuses the decompose machinery
+// has negative slack. It reuses the decompose machinery
 // (split_register) so the structural invariants (per-bit D/Q connectivity,
 // shared control nets, scan info) are maintained by exactly one piece of
 // code. The flow's bank/debank loop (flow.cpp) then re-legalizes the
@@ -28,20 +28,12 @@
 namespace mbrc::mbr {
 
 struct DebankOptions {
-  /// Split banks whose worst constrained bit has less slack (ns) than this.
-  /// 0.0 means "split failing banks only"; raise it to also break up
-  /// near-critical banks.
-  double slack_threshold = 0.0;
   /// Width of the pieces the split produces (must exist in the library for
   /// the bank's functional class; piece widths that do not divide the bank
   /// width leave the bank untouched).
   int piece_bits = 1;
   /// Never split banks narrower than this (must be > piece_bits).
   int min_bits = 2;
-  /// At most this many banks are split per call, worst slack first. Keeps
-  /// each loop iteration's perturbation small enough that the accept/revert
-  /// decision in the flow stays meaningful.
-  int max_banks_per_iteration = 8;
   /// Iteration cap for the flow's bank/debank loop (flow.cpp); the loop
   /// also stops as soon as an iteration fails to improve the combined cost.
   int max_iterations = 4;
@@ -61,8 +53,8 @@ struct DebankResult {
 };
 
 /// Splits the most timing-critical eligible MBRs of `design` into
-/// `piece_bits`-wide pieces (worst constrained slack first, capped at
-/// `max_banks_per_iteration`). Only multi-bit, movable, non-scan-ordered
+/// `piece_bits`-wide pieces (worst constrained slack first, at most eight
+/// banks per call). Only multi-bit, movable, non-scan-ordered
 /// registers whose class offers the piece width are considered. The pieces
 /// overlap the original footprints: the caller must legalize them and
 /// re-stitch touched scan chains afterwards. Deterministic: the selection

@@ -5,6 +5,7 @@
 #include <future>
 #include <unordered_set>
 
+#include "lib/technology.hpp"
 #include "mbr/report.hpp"
 #include "obs/counters.hpp"
 #include "sta/timing_engine.hpp"
@@ -134,7 +135,7 @@ void size_new_mbrs(netlist::Design& design,
       const netlist::PinId q = design.register_q_pin(cell_id, b);
       const netlist::Pin& p = design.pin(q);
       if (!p.net.valid()) continue;
-      load = std::max(load, design.net_hpwl(p.net) * 0.2);
+      load = std::max(load, design.net_hpwl(p.net) * lib::kWireCapPerUm);
       for (netlist::PinId s : design.net(p.net).sinks)
         load += design.pin(s).cap;
     }
@@ -178,7 +179,7 @@ struct ApplyOutcome {
   int incomplete_mbrs = 0;
 };
 
-// Applies the plan's merges: mapping and the per-MBR LP placement solves
+// Applies the plan's merges: mapping and the per-MBR placement solves
 // fan out over the pool as a *speculative* pass against the pre-apply
 // design, each task writing its own pre-sized slot. map_candidate reads
 // only the library and the plan graph, so its result never depends on
@@ -298,7 +299,6 @@ FlowResult run_flow_stages(netlist::Design& design,
                            const FlowOptions& options) {
   obs::Span flow_span("flow");
   util::Stopwatch total_clock;
-  runtime::Metrics stage_metrics;
   FlowResult result;
 
   // One jobs knob drives every stage: the copies push it into the nested
@@ -334,7 +334,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   };
 
   {
-    runtime::StageTimer timer(stage_metrics, "evaluate.before");
+    runtime::StageTimer timer(result.stages, "evaluate.before");
     result.before = evaluate_design(design, options, {}, &engine);
   }
   guard("input", no_skew);
@@ -345,7 +345,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   // MBRs so composition can regroup their bits with neighbors. Slack-gated:
   // critical registers stay intact.
   if (options.decompose_wide_mbrs) {
-    runtime::StageTimer timer(stage_metrics, "decompose");
+    runtime::StageTimer timer(result.stages, "decompose");
     const sta::TimingReport& pre = engine.update();
     result.decomposition =
         decompose_registers(design, options.decompose, &pre);
@@ -371,12 +371,12 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   sta::TimingReport timing;
   {
-    runtime::StageTimer timer(stage_metrics, "sta.plan");
+    runtime::StageTimer timer(result.stages, "sta.plan");
     timing = engine.update();  // copy: planning reads it across later edits
   }
 
   {
-    runtime::StageTimer timer(stage_metrics, "plan");
+    runtime::StageTimer timer(result.stages, "plan");
     result.plan = options.allocator == Allocator::kIlp
                       ? plan_composition(design, timing, composition_options)
                       : plan_composition_heuristic(design, timing,
@@ -389,7 +389,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   // map/place, serial rewire with replay -- see apply_plan_merges).
   std::vector<netlist::CellId> new_cells;
   {
-    runtime::StageTimer timer(stage_metrics, "apply");
+    runtime::StageTimer timer(result.stages, "apply");
     ApplyOutcome applied =
         apply_plan_merges(design, result.plan, options, "mbrc_");
     new_cells = std::move(applied.new_cells);
@@ -400,7 +400,7 @@ FlowResult run_flow_stages(netlist::Design& design,
     timer.add_items(result.mbrs_created);
   }
   if (result.mbrs_created > 0) {
-    // New MBRs sit at their LP positions (not yet legalized) with
+    // New MBRs sit at their optimal positions (not yet legalized) with
     // unstitched scan pins; the replaced members' chain nets dangle.
     expect.placement_legal = false;
     expect.scan_stitched = false;
@@ -419,7 +419,7 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   // Incremental legalization of the new MBRs.
   if (!new_cells.empty()) {
-    runtime::StageTimer timer(stage_metrics, "legalize");
+    runtime::StageTimer timer(result.stages, "legalize");
     timer.add_items(static_cast<std::int64_t>(new_cells.size()));
     result.legalization = legalize_new_cells(design, new_cells);
     MBRC_ASSERT_MSG(result.legalization.success,
@@ -429,7 +429,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   }
 
   {
-    runtime::StageTimer timer(stage_metrics, "scan_restitch");
+    runtime::StageTimer timer(result.stages, "scan_restitch");
     result.restitch = restitch_scan_chains(design);
   }
   expect.scan_stitched = true;
@@ -439,7 +439,7 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   // Useful skew on the new MBRs, then sizing under the final skews.
   if (options.apply_useful_skew && !new_cells.empty()) {
-    runtime::StageTimer timer(stage_metrics, "useful_skew");
+    runtime::StageTimer timer(result.stages, "useful_skew");
     std::unordered_set<netlist::CellId> allowed(new_cells.begin(),
                                                 new_cells.end());
     const auto skew_result = optimize_useful_skew(
@@ -450,7 +450,7 @@ FlowResult run_flow_stages(netlist::Design& design,
     guard("useful_skew", result.skew);
   }
   if (options.size_new_mbrs) {
-    runtime::StageTimer timer(stage_metrics, "size_mbrs");
+    runtime::StageTimer timer(result.stages, "size_mbrs");
     size_new_mbrs(design, new_cells, result.skew, engine);
     timer.add_items(static_cast<std::int64_t>(new_cells.size()));
     guard("size_mbrs", result.skew);
@@ -466,7 +466,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   bool debank_accepted_any = false;
   if (options.debank_loop) {
     obs::Span debank_span("flow.debank");
-    runtime::StageTimer timer(stage_metrics, "debank_loop");
+    runtime::StageTimer timer(result.stages, "debank_loop");
     static obs::Counter& c_iterations = obs::counter("flow.debank.iterations");
     static obs::Counter& c_accepted = obs::counter("flow.debank.accepted");
     static obs::Counter& c_reverted = obs::counter("flow.debank.reverted");
@@ -609,7 +609,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   }
 
   {
-    runtime::StageTimer timer(stage_metrics, "evaluate.after");
+    runtime::StageTimer timer(result.stages, "evaluate.after");
     result.after = evaluate_design(design, options, result.skew, &engine);
   }
   result.final_cost = options.cost.combined_cost(
@@ -623,7 +623,6 @@ FlowResult run_flow_stages(netlist::Design& design,
   expect.register_count_bounded = !debank_accepted_any;
   guard("output", result.skew);
   result.total_seconds = total_clock.seconds();
-  result.stages = stage_metrics.snapshot();
   return result;
 }
 

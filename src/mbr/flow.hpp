@@ -2,8 +2,9 @@
 //
 //   placed design -> STA -> compatibility graph -> partition -> candidate
 //   enumeration -> per-subgraph ILP (or greedy heuristic) -> mapping ->
-//   placement LP -> rewiring -> incremental legalization -> scan re-stitch
-//   -> MBR sizing -> useful skew on the new MBRs -> evaluation.
+//   placement (weighted median) -> rewiring -> incremental legalization ->
+//   scan re-stitch -> useful skew on the new MBRs -> MBR sizing ->
+//   evaluation.
 //
 // Also exposes the evaluation harness that produces the Table 1 metrics
 // for a design state (before/after).
@@ -154,7 +155,8 @@ struct FlowResult {
   sta::SkewMap skew;
   double compose_seconds = 0.0;  // plan + map + place + rewire + legalize
   double total_seconds = 0.0;
-  /// Per-stage wall times and work counts (runtime::StageTimer probes).
+  /// Per-stage wall times and work counts, recorded by the flow's
+  /// runtime::StageTimer probes.
   /// Measurement only: stage timings vary run to run and are excluded from
   /// the deterministic-output contract.
   runtime::StageTable stages;

@@ -4,13 +4,12 @@
 //
 // Every pin contributes wl_i = (max(xh, x+dx) - min(xl, x+dx)) +
 // (max(yh, y+dy) - min(yl, y+dy)), with (x, y) the MBR's lower-left corner
-// and (dx, dy) the pin offset inside the cell. Two solvers are provided:
-//   - the paper's linear program, with the min/max linearized through helper
-//     variables (src/lp simplex), and
-//   - an O(n log n) weighted-median solution exploiting that the objective
-//     is separable and convex piecewise-linear in x and in y.
-// Both return the same optimum (property-tested); the median solver is the
-// default in the flow.
+// and (dx, dy) the pin offset inside the cell. The objective is separable
+// and convex piecewise-linear in x and in y, so an O(n log n) per-axis
+// weighted median finds its exact minimum. The paper's linear program with
+// helper variables for the min/max terms returns the same optimum; it lives
+// in the test-only reference library (reference/placement_lp.hpp), where
+// the property tests compare the two.
 #pragma once
 
 #include <vector>
@@ -43,14 +42,8 @@ double placement_objective(const std::vector<PinBox>& boxes,
 geom::Point optimal_position_median(const std::vector<PinBox>& boxes,
                                     const geom::Rect& corner_region);
 
-/// Same optimum through the paper's LP formulation (helper variables for
-/// min/max). Used for cross-validation and by callers who want the LP path.
-geom::Point optimal_position_lp(const std::vector<PinBox>& boxes,
-                                const geom::Rect& corner_region);
-
-struct PlacementOptions {
-  bool use_lp = false;  // default: weighted median (identical optimum)
-};
+/// Placement has no knobs; the struct keeps place_mbr's signature stable.
+struct PlacementOptions {};
 
 /// End-to-end placement of a mapped candidate: derives the corner region
 /// from the candidate's common feasible region and the cell dimensions,

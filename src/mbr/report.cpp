@@ -52,26 +52,19 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   // only reproducible if it records EVERY knob the run used.
   // tests/obs_test.cpp (FlowReport.OptionsEchoIsComplete) pins the exact
   // key-path set and asserts each leaf tracks its field -- extend both when
-  // adding an option.
+  // adding an option. timing.jobs and composition.jobs are not echoed: the
+  // flow overwrites both with the top-level `jobs`.
   w.key("options").begin_object();
   w.kv("allocator", allocator_name(options.allocator));
   w.key("timing").begin_object();
-  w.kv("clock_period", options.timing.clock_period)
-      .kv("wire_cap_per_um", options.timing.wire_cap_per_um)
-      .kv("wire_res_per_um", options.timing.wire_res_per_um)
-      .kv("input_delay", options.timing.input_delay)
-      .kv("output_margin", options.timing.output_margin)
-      .kv("jobs", options.timing.jobs);
+  w.kv("clock_period", options.timing.clock_period);
   w.end_object();
   w.key("composition").begin_object();
   w.key("compatibility").begin_object();
   w.kv("slack_similarity", options.composition.compatibility.slack_similarity)
-      .kv("slack_clamp", options.composition.compatibility.slack_clamp)
-      .kv("sign_epsilon", options.composition.compatibility.sign_epsilon)
       .kv("max_distance", options.composition.compatibility.max_distance);
   w.key("region").begin_object();
-  w.kv("skew_balanced", options.composition.compatibility.region.skew_balanced)
-      .kv("delay_per_um", options.composition.compatibility.region.delay_per_um)
+  w.kv("delay_per_um", options.composition.compatibility.region.delay_per_um)
       .kv("max_radius", options.composition.compatibility.region.max_radius);
   w.end_object();
   w.end_object();
@@ -90,18 +83,9 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.key("solver").begin_object();
   w.kv("max_nodes", options.composition.solver.max_nodes);
   w.end_object();
-  w.kv("jobs", options.composition.jobs);
   w.end_object();
   w.key("mapping").begin_object();
   w.kv("incomplete_area_overhead", options.mapping.incomplete_area_overhead);
-  w.end_object();
-  w.key("placement").begin_object();
-  w.kv("use_lp", options.placement.use_lp);
-  w.end_object();
-  w.key("cts").begin_object();
-  w.kv("wire_cap_per_um", options.cts.wire_cap_per_um)
-      .kv("load_utilization", options.cts.load_utilization)
-      .kv("max_fanout", options.cts.max_fanout);
   w.end_object();
   w.key("route").begin_object();
   w.kv("gcell_size", options.route.gcell_size)
@@ -116,10 +100,8 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.end_object();
   w.kv("debank_loop", options.debank_loop);
   w.key("debank").begin_object();
-  w.kv("slack_threshold", options.debank.slack_threshold)
-      .kv("piece_bits", options.debank.piece_bits)
+  w.kv("piece_bits", options.debank.piece_bits)
       .kv("min_bits", options.debank.min_bits)
-      .kv("max_banks_per_iteration", options.debank.max_banks_per_iteration)
       .kv("max_iterations", options.debank.max_iterations)
       .kv("cost_epsilon", options.debank.cost_epsilon);
   w.end_object();
@@ -132,10 +114,7 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.kv("apply_useful_skew", options.apply_useful_skew);
   w.kv("skew_only_new_mbrs", options.skew_only_new_mbrs);
   w.key("skew").begin_object();
-  w.kv("iterations", options.skew.iterations)
-      .kv("max_abs_skew", options.skew.max_abs_skew)
-      .kv("damping", options.skew.damping)
-      .kv("hold_margin", options.skew.hold_margin);
+  w.kv("iterations", options.skew.iterations);
   w.end_object();
   w.kv("size_new_mbrs", options.size_new_mbrs);
   w.kv("jobs", options.jobs);

@@ -7,7 +7,8 @@
 // scheduling, so a flow's counter delta is bit-identical at any `jobs`
 // value and is part of the tested output
 // (tests/parallel_flow_test.cpp). Wall-clock stays in the span tracer and
-// StageStore, which are measurement-only.
+// the flow's stage table (runtime/stage_timer.hpp), which are
+// measurement-only.
 //
 // Usage at a probe site (one interning lookup ever, then relaxed atomic
 // adds):

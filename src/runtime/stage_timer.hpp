@@ -1,12 +1,10 @@
 // Per-stage flow instrumentation.
 //
-// A Metrics registry collects named StageStats counters (wall seconds,
-// invocation count, item count); StageTimer is the RAII probe that records
-// one timed section into it. Both are now thin views over the obs layer:
-// Metrics wraps an obs::StageStore (interned stage slots, lock-free
-// accumulation — probes in parallel stages neither serialize nor allocate),
-// and StageTimer additionally opens an obs::Span so traced runs see every
-// stage in the Chrome-trace timeline.
+// A StageTable maps stage names to StageStats (wall seconds, invocation
+// count, item count); StageTimer is the RAII probe that records one timed
+// section into it and opens an obs::Span, so traced runs see every stage in
+// the Chrome-trace timeline. The flow owns one table and times its stages
+// one after another, so the table is plain data.
 //
 // Wall-clock values are measurement, not output: flow results compared
 // across thread counts exclude them (see DESIGN.md §11); the deterministic
@@ -14,41 +12,34 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 
-#include "obs/stage_store.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mbrc::runtime {
 
-using StageStats = obs::StageStats;
-using StageTable = obs::StageTable;
-using obs::format_stage_table;
-
-class Metrics {
-public:
-  void record(std::string_view stage, double seconds, std::int64_t items = 0) {
-    store_.slot(stage).record(seconds, items);
-  }
-
-  StageTable snapshot() const { return store_.snapshot(); }
-
-  /// Formatted per-stage report (name, calls, items, seconds), one line per
-  /// stage in name order.
-  std::string report() const { return store_.report(); }
-
-private:
-  obs::StageStore store_;
+struct StageStats {
+  double seconds = 0.0;     // accumulated wall time
+  std::int64_t calls = 0;   // timed sections recorded
+  std::int64_t items = 0;   // stage-defined work units (subgraphs, pins, ...)
 };
 
-/// RAII stage probe: times its scope, records into the registry on
-/// destruction (or earlier via stop()), and spans the scope in the trace.
+using StageTable = std::map<std::string, StageStats, std::less<>>;
+
+/// Formats a table as one line per stage (name, calls, items, seconds), in
+/// name order.
+std::string format_stage_table(const StageTable& stats);
+
+/// RAII stage probe: times its scope, records into the table on destruction
+/// (or earlier via stop()), and spans the scope in the trace.
 class StageTimer {
 public:
-  StageTimer(Metrics& metrics, std::string_view stage)
-      : metrics_(&metrics), stage_(stage), span_(stage) {}
+  StageTimer(StageTable& table, std::string_view stage)
+      : table_(&table), stage_(stage), span_(stage) {}
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
@@ -61,13 +52,16 @@ public:
   /// Records now instead of at scope exit; idempotent. The trace span still
   /// closes at scope exit.
   void stop() {
-    if (metrics_ == nullptr) return;
-    metrics_->record(stage_, clock_.seconds(), items_);
-    metrics_ = nullptr;
+    if (table_ == nullptr) return;
+    StageStats& stats = (*table_)[stage_];
+    stats.seconds += clock_.seconds();
+    ++stats.calls;
+    stats.items += items_;
+    table_ = nullptr;
   }
 
 private:
-  Metrics* metrics_;
+  StageTable* table_;
   std::string stage_;
   std::int64_t items_ = 0;
   obs::Span span_;

@@ -21,11 +21,9 @@ geom::Rect timing_feasible_region(const netlist::Design& design,
   // Useful-skew balancing: one clock offset can shift slack between the D
   // and Q sides, so the budget both sides can rely on is their mean.
   double balanced = kNoRequired;
-  if (options.skew_balanced) {
-    const double d = report.register_d_slack(design, reg);
-    const double q = report.register_q_slack(design, reg);
-    if (d != kNoRequired && q != kNoRequired) balanced = (d + q) / 2;
-  }
+  const double d = report.register_d_slack(design, reg);
+  const double q = report.register_q_slack(design, reg);
+  if (d != kNoRequired && q != kNoRequired) balanced = (d + q) / 2;
 
   for (netlist::PinId pin_id : cell.pins) {
     const netlist::Pin& p = design.pin(pin_id);

@@ -9,6 +9,11 @@
 // negative-slack registers inside compatibility checking, exactly the
 // paper's rule ("the intersection of the bounding boxes of the violating
 // pins with the feasible regions of the rest of the D and Q pins").
+// A data pin's movement budget is at least the useful-skew-balanced slack,
+// (d_slack + q_slack) / 2, when both sides are constrained: the paper merges
+// registers *because* one clock offset can later rebalance their D/Q slacks
+// (Sec. 1, Sec. 2), and the balanced value is the slack that remains on both
+// sides after that offset is applied.
 // The union is taken as a bounding box, a mild over-approximation; final
 // timing is re-verified by the flow's closing STA.
 #pragma once
@@ -20,12 +25,6 @@
 namespace mbrc::sta {
 
 struct FeasibleRegionOptions {
-  /// Use the useful-skew-balanced slack, (d_slack + q_slack) / 2, as each
-  /// data pin's movement budget when both sides are constrained. The paper
-  /// merges registers *because* one clock offset can later rebalance their
-  /// D/Q slacks (Sec. 1, Sec. 2); the balanced value is the slack that
-  /// remains on both sides after that offset is applied.
-  bool skew_balanced = true;
   /// Wire-delay sensitivity used to convert slack to distance (ns per um of
   /// added Manhattan detour). Conservative: includes the downstream load
   /// increase a move causes, not just the pin-to-pin wire.

@@ -3,6 +3,8 @@
 // Delay model (matching the library's linear model, Sec. 4.1 of the paper):
 //   gate arc:  delay = intrinsic + R_drive * (wire cap + sink pin caps)
 //   wire arc:  Elmore on Manhattan length from driver to each sink.
+// Wire R and C per um and the input-port arrival / output-port margin are
+// the technology constants in lib/technology.hpp.
 // The clock is ideal at the register clock pins except for an explicit
 // per-register useful-skew offset (Sec. 1/5: useful skew is applied to the
 // composed MBRs after composition).
@@ -22,11 +24,7 @@
 namespace mbrc::sta {
 
 struct TimingOptions {
-  double clock_period = 1.0;      // ns
-  double wire_cap_per_um = 0.20;  // fF / um
-  double wire_res_per_um = 0.003; // kOhm / um
-  double input_delay = 0.05;      // ns of arrival at input ports
-  double output_margin = 0.05;    // ns subtracted from output-port required
+  double clock_period = 1.0;  // ns
   /// Thread lanes for the levelized propagation passes. 1 runs the serial
   /// reference path; > 1 runs the parallel gather path, whose arrivals,
   /// requireds and endpoint report are bit-identical to serial at any lane

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "lib/technology.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -48,7 +49,7 @@ double TimingEngine::register_skew(CellId cell) const {
 double TimingEngine::driver_load(PinId driver) const {
   const Pin& p = design_.pin(driver);
   if (!p.net.valid()) return 0.0;
-  double load = design_.net_hpwl(p.net) * options_.wire_cap_per_um;
+  double load = design_.net_hpwl(p.net) * lib::kWireCapPerUm;
   for (PinId s : design_.net(p.net).sinks) load += design_.pin(s).cap;
   return load;
 }
@@ -56,8 +57,8 @@ double TimingEngine::driver_load(PinId driver) const {
 double TimingEngine::wire_delay(PinId driver, PinId sink) const {
   const double len = geom::manhattan(design_.pin_position(driver),
                                      design_.pin_position(sink));
-  const double r = options_.wire_res_per_um * len;
-  const double c = options_.wire_cap_per_um * len;
+  const double r = lib::kWireResPerUm * len;
+  const double c = lib::kWireCapPerUm * len;
   return r * (c / 2 + design_.pin(sink).cap) * kNsPerKohmFf;
 }
 
@@ -240,7 +241,7 @@ void TimingEngine::seed_and_propagate() {
       seed_arrival_[pin_id.index] =
           register_skew(p.cell) + launch_delay(pin_id);
     } else if (cell.kind == CellKind::kPort && p.is_output) {
-      seed_arrival_[pin_id.index] = options_.input_delay;
+      seed_arrival_[pin_id.index] = lib::kInputDelay;
     }
     if (seed_arrival_[pin_id.index] != kNoArrival) {
       arrival[pin_id.index] = seed_arrival_[pin_id.index];
@@ -288,7 +289,7 @@ void TimingEngine::seed_and_propagate() {
       }
     } else if (cell.kind == CellKind::kPort && !p.is_output) {
       if (p.net.valid())
-        req = options_.clock_period - options_.output_margin;
+        req = options_.clock_period - lib::kOutputMargin;
     }
     if (req == kNoRequired) continue;
     seed_required_[pin_id.index] = req;

@@ -12,6 +12,14 @@ namespace mbrc::sta {
 
 namespace {
 
+constexpr double kMaxAbsSkew = 0.25;  // ns, |skew| bound per register
+constexpr double kDamping = 0.7;      // fraction of the balancing step applied
+// Hold protection: each step consumes at most half of the relevant hold
+// slack minus this margin (ns). Both ends of a min-path may move in the
+// same iteration, so a full-budget step could overshoot; halving makes the
+// combined move safe and the iteration re-splits what remains.
+constexpr double kHoldMargin = 0.005;
+
 // Sign conventions (see run_sta): increasing a register's skew by ds
 //   - raises its D-endpoint required time      -> D slack changes by +ds,
 //   - raises its Q launch arrival              -> Q-side slack changes by -ds.
@@ -65,7 +73,7 @@ UsefulSkewResult optimize_useful_skew(
       if (allowed && !allowed->contains(reg)) continue;
       const double d_slack = report->register_d_slack(design, reg);
       const double q_slack = report->register_q_slack(design, reg);
-      double step = options.damping * desired_step(d_slack, q_slack);
+      double step = kDamping * desired_step(d_slack, q_slack);
       // Hold awareness: shifting the clock later raises this register's own
       // hold requirement (clamp by its D-side hold slack); shifting it
       // earlier launches min-paths earlier into the downstream captures
@@ -74,18 +82,18 @@ UsefulSkewResult optimize_useful_skew(
         const double d_hold = report->register_d_hold_slack(design, reg);
         if (d_hold != kNoRequired)
           step = std::min(
-              step, std::max(0.0, (d_hold - options.hold_margin) / 2));
+              step, std::max(0.0, (d_hold - kHoldMargin) / 2));
       } else if (step < 0) {
         const double q_hold = report->register_q_hold_slack(design, reg);
         if (q_hold != kNoRequired)
           step = std::max(
-              step, -std::max(0.0, (q_hold - options.hold_margin) / 2));
+              step, -std::max(0.0, (q_hold - kHoldMargin) / 2));
       }
       if (std::abs(step) < 1e-9) continue;
       const double before =
           result.skew.contains(reg) ? result.skew.at(reg) : 0.0;
-      const double after = std::clamp(before + step, -options.max_abs_skew,
-                                      options.max_abs_skew);
+      const double after =
+          std::clamp(before + step, -kMaxAbsSkew, kMaxAbsSkew);
       if (std::abs(after - before) > 1e-9) {
         result.skew[reg] = after;
         changed = true;

@@ -23,13 +23,6 @@ class TimingEngine;
 
 struct UsefulSkewOptions {
   int iterations = 8;
-  double max_abs_skew = 0.25;  // ns, |skew| bound per register
-  double damping = 0.7;        // fraction of the balancing step applied
-  /// Hold protection: each step consumes at most half of the relevant hold
-  /// slack minus this margin (ns). Both ends of a min-path may move in the
-  /// same iteration, so a full-budget step could overshoot; halving makes
-  /// the combined move safe and the iteration re-splits what remains.
-  double hold_margin = 0.005;
 };
 
 struct UsefulSkewResult {

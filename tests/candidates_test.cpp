@@ -8,8 +8,8 @@
 #include "mbr/candidates.hpp"
 #include "mbr/cliques.hpp"
 #include "mbr/composition.hpp"
-#include "mbr/worked_example.hpp"
 #include "obs/counters.hpp"
+#include "reference/worked_example.hpp"
 
 namespace mbrc::mbr {
 namespace {

@@ -3,7 +3,7 @@
 #include <set>
 
 #include "mbr/cliques.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::mbr {

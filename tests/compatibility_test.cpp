@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mbr/compatibility.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 
 namespace mbrc::mbr {
 namespace {

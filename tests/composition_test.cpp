@@ -4,10 +4,10 @@
 #include <set>
 
 #include "benchgen/generator.hpp"
-#include "ilp/branch_and_bound.hpp"
 #include "mbr/composition.hpp"
 #include "mbr/heuristic.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/branch_and_bound.hpp"
+#include "reference/worked_example.hpp"
 
 namespace mbrc::mbr {
 namespace {

@@ -23,7 +23,7 @@
 #include "check/checker.hpp"
 #include "mbr/candidates.hpp"
 #include "mbr/compatibility.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 #include "sta/timing_engine.hpp"
 #include "util/rng.hpp"
 

@@ -6,7 +6,7 @@
 #include "mbr/candidates.hpp"
 #include "mbr/composition.hpp"
 #include "mbr/heuristic.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/worked_example.hpp"
 
 namespace mbrc::mbr {
 namespace {

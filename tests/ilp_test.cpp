@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "ilp/branch_and_bound.hpp"
 #include "ilp/set_partition.hpp"
+#include "reference/branch_and_bound.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::ilp {

@@ -427,7 +427,7 @@ TEST(LintR6, RecordingIntoReportFieldIsNotFlagged) {
 
 TEST(LintR6, ObservabilityLayerIsExempt) {
   const std::vector<SourceFile> files = {
-      {"src/obs/stage_store.cpp",
+      {"src/obs/trace.cpp",
        R"(
          bool slow(util::Stopwatch& clock) {
            return clock.seconds() > 1.0;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "lp/model.hpp"
-#include "lp/simplex.hpp"
+#include "reference/lp_model.hpp"
+#include "reference/simplex.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::lp {

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "mbr/mapping.hpp"
-#include "mbr/worked_example.hpp"
 #include "netlist/design.hpp"
+#include "reference/worked_example.hpp"
 #include "sta/sta.hpp"
 
 namespace mbrc::mbr {

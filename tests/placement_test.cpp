@@ -3,7 +3,8 @@
 #include "mbr/composition.hpp"
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
-#include "mbr/worked_example.hpp"
+#include "reference/placement_lp.hpp"
+#include "reference/worked_example.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::mbr {

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/generator.hpp"
-#include "ilp/branch_and_bound.hpp"
 #include "ilp/set_partition.hpp"
 #include "mbr/flow.hpp"
 #include "mbr/placement.hpp"
+#include "reference/branch_and_bound.hpp"
+#include "reference/placement_lp.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc {
