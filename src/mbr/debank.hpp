@@ -9,31 +9,28 @@
 // back into narrow pieces restores per-piece skew, sizing and placement
 // freedom, at the price of the lost area/cap sharing.
 //
-// This pass selects the timing-critical banks worth that trade: MBRs whose
-// worst constrained bit -- min over the bank's constrained D and Q pins --
-// has negative slack. It reuses the decompose machinery
-// (split_register) so the structural invariants (per-bit D/Q connectivity,
-// shared control nets, scan info) are maintained by exactly one piece of
-// code. The flow's bank/debank loop (flow.cpp) then re-legalizes the
-// pieces, offers them back to scoped recomposition, and keeps the result
-// only if the combined cost (mbr/cost.hpp) improved.
+// This pass selects the timing-critical banks worth that trade (MBRs whose
+// worst constrained bit, the min over the bank's constrained D and Q pins,
+// has negative slack) and splits each into single-bit registers. It is
+// the only code that splits a register, so the structural invariants
+// (per-bit D/Q connectivity, shared control nets, scan info) are maintained
+// in exactly one place. The flow's bank/debank loop (flow.cpp) then
+// re-legalizes the pieces, offers them back to scoped recomposition, and
+// keeps the result only if the combined cost (mbr/cost.hpp) improved.
+//
+// Together the split and the loop implement the paper's future-work
+// extension (Sec. 5): "the decomposition of the initial 8-bit MBRs and
+// their recomposition using the proposed methodology".
 #pragma once
 
 #include <vector>
 
-#include "mbr/decompose.hpp"
 #include "netlist/design.hpp"
 #include "sta/sta.hpp"
 
 namespace mbrc::mbr {
 
 struct DebankOptions {
-  /// Width of the pieces the split produces (must exist in the library for
-  /// the bank's functional class; piece widths that do not divide the bank
-  /// width leave the bank untouched).
-  int piece_bits = 1;
-  /// Never split banks narrower than this (must be > piece_bits).
-  int min_bits = 2;
   /// Iteration cap for the flow's bank/debank loop (flow.cpp); the loop
   /// also stops as soon as an iteration fails to improve the combined cost.
   int max_iterations = 4;
@@ -53,12 +50,15 @@ struct DebankResult {
 };
 
 /// Splits the most timing-critical eligible MBRs of `design` into
-/// `piece_bits`-wide pieces (worst constrained slack first, at most eight
-/// banks per call). Only multi-bit, movable, non-scan-ordered
-/// registers whose class offers the piece width are considered. The pieces
+/// single-bit pieces of the class's weakest drive variant (worst
+/// constrained slack first, ties by cell id, at most eight banks per call).
+/// Only multi-bit, movable, non-scan-ordered registers whose class offers a
+/// single-bit cell are considered. Each piece keeps its bit's D/Q nets, the
+/// shared clock/control nets, scan info and gating group. The pieces
 /// overlap the original footprints: the caller must legalize them and
 /// re-stitch touched scan chains afterwards. Deterministic: the selection
-/// depends only on `design` and `timing`, never on thread schedule.
+/// depends only on `design` and `timing`, never on thread schedule. The
+/// flow's loop reads `options`; the split itself does not.
 DebankResult debank_critical_registers(const DebankOptions& options,
                                        netlist::Design& design,
                                        const sta::TimingReport& timing);

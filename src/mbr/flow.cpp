@@ -313,7 +313,7 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   // One timing engine spans the whole flow: the timing graph is built once
   // per netlist topology and every later query is an incremental repair.
-  // Structural stages (decompose, rewire) bump the design's topology
+  // Structural stages (rewire, debank splits) bump the design's topology
   // version, so the engine rebuilds exactly when it must; the useful-skew
   // loop and the post-compose queries ride on cheap dirty-cone updates.
   sta::TimingEngine engine(design, timing_options);
@@ -340,34 +340,6 @@ FlowResult run_flow_stages(netlist::Design& design,
   guard("input", no_skew);
 
   util::Stopwatch compose_clock;
-
-  // Optional pre-pass (the paper's future-work extension): break up wide
-  // MBRs so composition can regroup their bits with neighbors. Slack-gated:
-  // critical registers stay intact.
-  if (options.decompose_wide_mbrs) {
-    runtime::StageTimer timer(result.stages, "decompose");
-    const sta::TimingReport& pre = engine.update();
-    result.decomposition =
-        decompose_registers(design, options.decompose, &pre);
-    timer.add_items(
-        static_cast<std::int64_t>(result.decomposition.pieces.size()));
-    if (!result.decomposition.pieces.empty()) {
-      place::RowGrid grid =
-          place::build_occupancy(design, result.decomposition.pieces);
-      const place::LegalizeResult legal = place::legalize_cells(
-          design, grid, result.decomposition.pieces);
-      MBRC_ASSERT_MSG(legal.success, "decomposition legalization failed");
-      // Split pieces carry unstitched scan pins and the removed originals
-      // leave their chain-link nets dangling until the restitch stage. The
-      // splits also inflate the register count until composition and
-      // recombination absorb the pieces; the no-increase guarantee is
-      // re-armed at the output boundary.
-      expect.scan_stitched = false;
-      expect.nets_clean = false;
-      expect.register_count_bounded = false;
-    }
-    guard("decompose", no_skew);
-  }
 
   sta::TimingReport timing;
   {
@@ -407,15 +379,6 @@ FlowResult run_flow_stages(netlist::Design& design,
     expect.nets_clean = false;
   }
   guard("apply", no_skew);
-
-  // Undo splits whose pieces found no partners (no-lose guarantee of the
-  // decomposition pre-pass).
-  if (options.decompose_wide_mbrs) {
-    const RecombineResult recombined =
-        recombine_unused_pieces(design, result.decomposition);
-    for (netlist::CellId cell : recombined.restored)
-      new_cells.push_back(cell);
-  }
 
   // Incremental legalization of the new MBRs.
   if (!new_cells.empty()) {

@@ -18,7 +18,6 @@
 #include "mbr/composition.hpp"
 #include "mbr/cost.hpp"
 #include "mbr/debank.hpp"
-#include "mbr/decompose.hpp"
 #include "mbr/heuristic.hpp"
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
@@ -63,11 +62,6 @@ struct FlowOptions {
   /// loop. Deterministic at any `jobs`.
   bool debank_loop = false;
   DebankOptions debank;
-  /// The paper's future-work extension: split pre-existing max-width MBRs
-  /// into pieces before composition so they can regroup with neighbors
-  /// (targets D4-like designs that are already 8-bit rich).
-  bool decompose_wide_mbrs = false;
-  DecomposeOptions decompose;
   bool apply_useful_skew = true;
   /// Useful skew is restricted to the newly composed MBRs (the paper's
   /// Fig. 4); set false to let every register move.
@@ -130,7 +124,6 @@ struct FlowResult {
   int registers_merged = 0;      // members absorbed into new MBRs
   int rejected_at_mapping = 0;   // selections dropped by Sec. 4.1 rules
   int incomplete_mbrs = 0;
-  DecomposeResult decomposition;  // empty unless decompose_wide_mbrs
   /// One entry per bank/debank loop iteration (debank_loop only). The cost
   /// fields are part of the deterministic output contract; `accepted` tells
   /// whether the iteration's state was kept or rolled back (a rejected
@@ -153,7 +146,9 @@ struct FlowResult {
   place::LegalizeResult legalization;
   RestitchStats restitch;
   sta::SkewMap skew;
-  double compose_seconds = 0.0;  // plan + map + place + rewire + legalize
+  /// Wall time from the planning STA update through scan restitch: plan,
+  /// map, place, rewire, legalize, restitch.
+  double compose_seconds = 0.0;
   double total_seconds = 0.0;
   /// Per-stage wall times and work counts, recorded by the flow's
   /// runtime::StageTimer probes.

@@ -100,16 +100,8 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.end_object();
   w.kv("debank_loop", options.debank_loop);
   w.key("debank").begin_object();
-  w.kv("piece_bits", options.debank.piece_bits)
-      .kv("min_bits", options.debank.min_bits)
-      .kv("max_iterations", options.debank.max_iterations)
+  w.kv("max_iterations", options.debank.max_iterations)
       .kv("cost_epsilon", options.debank.cost_epsilon);
-  w.end_object();
-  w.kv("decompose_wide_mbrs", options.decompose_wide_mbrs);
-  w.key("decompose").begin_object();
-  w.kv("min_bits", options.decompose.min_bits)
-      .kv("piece_bits", options.decompose.piece_bits)
-      .kv("min_slack", options.decompose.min_slack);
   w.end_object();
   w.kv("apply_useful_skew", options.apply_useful_skew);
   w.kv("skew_only_new_mbrs", options.skew_only_new_mbrs);

@@ -132,9 +132,11 @@ T help_get(ThreadPool& pool, std::future<T> future) {
 /// RAII companion to ThreadPool::async for exception safety. Tasks whose
 /// lambdas capture the submitting frame by reference dangle when an
 /// exception unwinds past the help_get that was supposed to collect them;
-/// a FutureDrain declared *before* the submissions blocks scope exit --
-/// normal or exceptional -- until every watched future settled, helping
-/// the pool drain instead of idling (same loop as help_get). mbrc-analyze
+/// a FutureDrain blocks scope exit -- normal or exceptional -- until every
+/// watched future settled, helping the pool drain instead of idling (same
+/// loop as help_get). The guard keeps a reference to each watched future,
+/// so every watched future must be declared *before* the guard: it then
+/// outlives the guard's destructor (evaluate_design's order). mbrc-analyze
 /// rule A2 recognizes this type as a wait that dominates every exit.
 class FutureDrain {
  public:

@@ -484,14 +484,8 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.cost.beta += 0.25;
   o.cost.gamma += 0.1;
   o.debank_loop = !o.debank_loop;
-  o.debank.piece_bits += 1;
-  o.debank.min_bits += 2;
   o.debank.max_iterations += 3;
   o.debank.cost_epsilon += 1e-6;
-  o.decompose_wide_mbrs = !o.decompose_wide_mbrs;
-  o.decompose.min_bits -= 2;
-  o.decompose.piece_bits -= 2;
-  o.decompose.min_slack += 0.03;
   o.apply_useful_skew = !o.apply_useful_skew;
   o.skew_only_new_mbrs = !o.skew_only_new_mbrs;
   o.skew.iterations -= 4;
@@ -532,13 +526,7 @@ TEST(FlowReport, OptionsEchoIsComplete) {
       "cost.gamma",
       "debank.cost_epsilon",
       "debank.max_iterations",
-      "debank.min_bits",
-      "debank.piece_bits",
       "debank_loop",
-      "decompose.min_bits",
-      "decompose.min_slack",
-      "decompose.piece_bits",
-      "decompose_wide_mbrs",
       "jobs",
       "mapping.incomplete_area_overhead",
       "report_path",

@@ -74,6 +74,21 @@ TEST(RowGrid, FindNearestFreeFullGrid) {
   EXPECT_FALSE(grid.find_nearest_free({5, 0}, 2).has_value());
 }
 
+TEST(RowGrid, FindNearestFreeAcceptsGapWithinTolerance) {
+  // The gap [10, 14 - 5e-10) is narrower than the 4 um cell by less than
+  // the 1e-9 fit tolerance, so it is accepted, and its clamp range is
+  // inverted (upper bound below the lower one). The cell lands at the gap's
+  // start, abutting the left neighbour.
+  RowGrid grid({0, 0, 100, 1.8}, {});
+  const double gap_hi = 14.0 - 5e-10;
+  ASSERT_TRUE(grid.occupy(0, 5, 5));
+  ASSERT_TRUE(grid.occupy(0, gap_hi, 6));
+  const auto spot = grid.find_nearest_free({10.5, 0}, 4);
+  ASSERT_TRUE(spot.has_value());
+  EXPECT_EQ(spot->x, 10.0);
+  EXPECT_EQ(spot->y, 0.0);
+}
+
 class LegalizeFixture : public ::testing::Test {
 protected:
   LegalizeFixture()

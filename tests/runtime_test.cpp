@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -64,8 +65,10 @@ TEST(FutureDrain, DrainsWatchedFuturesOnScopeExit) {
   std::atomic<bool> release{false};
   std::atomic<bool> task_done{false};
   {
+    // The watched future is declared before the guard so it outlives it.
+    std::future<int> future;
     FutureDrain drain(pool);
-    auto future = pool.async([&] {
+    future = pool.async([&] {
       while (!release.load()) std::this_thread::yield();
       task_done.store(true);
       return 7;
@@ -83,8 +86,9 @@ TEST(FutureDrain, KeepsFrameAliveThroughExceptionalUnwind) {
   std::atomic<int> sum{0};
   auto run = [&] {
     std::atomic<bool> release{false};
+    std::future<int> future;
     FutureDrain drain(pool);
-    auto future = pool.async([&] {
+    future = pool.async([&] {
       while (!release.load()) std::this_thread::yield();
       sum.fetch_add(41);
       return 0;
@@ -101,8 +105,9 @@ TEST(FutureDrain, KeepsFrameAliveThroughExceptionalUnwind) {
 
 TEST(FutureDrain, SkipsFuturesAlreadyConsumed) {
   ThreadPool pool(2);
+  std::future<int> future;
   FutureDrain drain(pool);
-  auto future = pool.async([] { return 5; });
+  future = pool.async([] { return 5; });
   drain.watch(future);
   EXPECT_EQ(help_get(pool, std::move(future)), 5);
   // Destructor sees an invalid future and must not wait on it.
