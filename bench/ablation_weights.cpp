@@ -26,11 +26,6 @@ int main() {
       mbr::FlowOptions options;
       options.timing.clock_period = generated.calibrated_clock_period;
       options.composition.enumeration.use_weights = use_weights;
-      // Weights-off keeps every blocked candidate alive, which blows up the
-      // exact branch & bound; cap the node budget identically on both arms
-      // (the returned incumbents are then best-effort, which is the point
-      // of the comparison anyway).
-      options.composition.solver.max_nodes = 150'000;
       const mbr::FlowResult result =
           mbr::run_composition_flow(generated.design, options);
       table.row()

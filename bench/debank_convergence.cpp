@@ -8,7 +8,9 @@
 //     non-increasing on every run (violation -> exit 2);
 //   - one configuration re-runs at a different jobs value and the
 //     deterministic counter snapshots must match bit-identically
-//     (divergence -> exit 2).
+//     (divergence -> exit 2);
+//   - every set-partition solve must end proven optimal: one stopped at
+//     the solver's node cap fails the run (exit 2).
 //
 // Profiles: the Table 1 designs D1..D4 plus the scenario pair (DM
 // multi-clock, DP power-capped; benchgen::scenario_profiles). Cost
@@ -50,6 +52,19 @@ struct Run {
   bool monotone = true;
 };
 
+// The CPU the run was measured on ("model name" in /proc/cpuinfo), so the
+// committed artifact names its host; "unknown" where that file is absent.
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
 // The monotone-cost guarantee: every *accepted* iteration must improve on
 // the best cost it entered with (flow.cpp rejects and rolls back anything
 // else, so a violation here is a flow bug, not a tuning issue).
@@ -84,6 +99,7 @@ int main() {
   std::vector<Run> runs;
   bool monotone_ok = true;
   bool determinism_ok = true;
+  bool exact_ok = true;
 
   for (const benchgen::DesignProfile& profile : profiles) {
     const benchgen::GeneratedDesign generated =
@@ -111,6 +127,13 @@ int main() {
       }
       run.monotone = trajectory_monotone(run.result);
       monotone_ok = monotone_ok && run.monotone;
+      const auto& counters = run.result.counters.counters;
+      if (const auto hits = counters.find("ilp.set_partition.budget_hits");
+          hits != counters.end()) {
+        exact_ok = false;
+        std::cout << "  " << hits->second
+                  << " set-partition solves stopped at the node cap\n";
+      }
 
       std::cout << "  " << setting.name << ": cost " << run.result.final_cost
                 << ", tns " << run.result.before.tns << " -> "
@@ -148,6 +171,7 @@ int main() {
   w.begin_object();
   w.kv("schema", 1).kv("bench", "debank_convergence");
   w.kv("smoke", smoke);
+  w.kv("cpu_model", cpu_model());
   w.kv("hardware_threads",
        static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.kv("monotone_ok", monotone_ok);
@@ -194,7 +218,7 @@ int main() {
   out << '\n';
   std::cout << "wrote " << out_path << "\n";
 
-  // Both failures are contract violations of the deterministic flow, not
-  // slow runs.
-  return monotone_ok && determinism_ok ? 0 : 2;
+  // Every failure is a contract violation of the deterministic flow, not a
+  // slow run.
+  return monotone_ok && determinism_ok && exact_ok ? 0 : 2;
 }

@@ -158,7 +158,8 @@ void bisect(const CompatibilityGraph& graph, const netlist::Design& design,
 std::vector<std::vector<int>> partition_component(
     const CompatibilityGraph& graph, const netlist::Design& design,
     std::vector<int> component, const PartitionOptions& options) {
-  MBRC_ASSERT(options.max_nodes >= 1);
+  MBRC_ASSERT_MSG(options.max_nodes >= 1 && options.max_nodes <= 64,
+                  "partition max_nodes must be in [1, 64]");
   std::vector<std::vector<int>> out;
   bisect(graph, design, std::move(component), options.max_nodes, out);
   for (auto& part : out) std::sort(part.begin(), part.end());

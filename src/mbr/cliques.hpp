@@ -23,7 +23,8 @@ std::vector<std::vector<int>> maximal_cliques(const CompatibilityGraph& graph,
 
 struct PartitionOptions {
   /// Subgraph bound; the paper found 30 to be the sweet spot (smaller
-  /// loses QoR, larger only costs runtime).
+  /// loses QoR, larger only costs runtime). At most 64: clique enumeration
+  /// and the set-partition ILP hold a subgraph in one 64-bit mask.
   int max_nodes = 30;
 };
 

@@ -53,31 +53,38 @@ void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
 
   // Per-subgraph fan-out: enumeration and the branch & bound solve are
   // fused into one task per subgraph (better load balance than two barrier
-  // stages), each writing its own pre-sized slot. The reduction below runs
-  // on this thread in subgraph order, so the plan is identical to the
-  // serial loop at any job count.
+  // stages), each writing its own pre-sized slot. A task keeps only what
+  // the reduction reads -- the chosen candidates and the tallies -- so the
+  // enumerated candidates of a subgraph are freed as soon as it is solved.
+  // The reduction below runs on this thread in subgraph order, so the plan
+  // is identical to the serial loop at any job count.
   struct SubgraphOutcome {
-    EnumerationResult enumeration;
+    std::vector<Candidate> chosen;
+    std::int64_t candidate_count = 0;
+    bool truncated = false;
     ilp::SetPartitionResult solved;
   };
-  const std::vector<SubgraphOutcome> outcomes = runtime::parallel_transform(
+  std::vector<SubgraphOutcome> outcomes = runtime::parallel_transform(
       &runtime::ThreadPool::global(), options.jobs, subgraphs,
       [&](const std::vector<int>& subgraph) {
         obs::Span span("plan.subgraph");
-        SubgraphOutcome outcome;
-        outcome.enumeration =
+        EnumerationResult enumeration =
             enumerate_candidates(plan.graph, design.library(), blockers,
                                  subgraph, options.enumeration);
-        outcome.solved = solve_subgraph(
-            subgraph, outcome.enumeration.candidates, options.solver);
+        SubgraphOutcome outcome;
+        outcome.solved =
+            solve_subgraph(subgraph, enumeration.candidates, options.solver);
+        outcome.candidate_count =
+            static_cast<std::int64_t>(enumeration.candidates.size());
+        outcome.truncated = enumeration.truncated;
+        for (int index : outcome.solved.chosen)
+          outcome.chosen.push_back(std::move(enumeration.candidates[index]));
         return outcome;
       });
 
-  for (const SubgraphOutcome& outcome : outcomes) {
-    const EnumerationResult& enumeration = outcome.enumeration;
-    plan.candidate_count +=
-        static_cast<std::int64_t>(enumeration.candidates.size());
-    if (enumeration.truncated) ++plan.truncated_subgraphs;
+  for (SubgraphOutcome& outcome : outcomes) {
+    plan.candidate_count += outcome.candidate_count;
+    if (outcome.truncated) ++plan.truncated_subgraphs;
 
     const ilp::SetPartitionResult& solved = outcome.solved;
     MBRC_ASSERT_MSG(solved.feasible,
@@ -85,9 +92,9 @@ void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
     plan.ilp_nodes += solved.nodes_explored;
     plan.objective += solved.objective;
 
-    for (int index : solved.chosen) {
+    for (Candidate& candidate : outcome.chosen) {
       Selection selection;
-      selection.candidate = enumeration.candidates[index];
+      selection.candidate = std::move(candidate);
       for (int node : selection.candidate.nodes)
         selection.members.push_back(plan.graph.node(node).cell);
       plan.selections.push_back(std::move(selection));

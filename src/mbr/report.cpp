@@ -80,9 +80,6 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
           static_cast<std::int64_t>(
               options.composition.enumeration.max_candidates_per_subgraph));
   w.end_object();
-  w.key("solver").begin_object();
-  w.kv("max_nodes", options.composition.solver.max_nodes);
-  w.end_object();
   w.end_object();
   w.key("mapping").begin_object();
   w.kv("incomplete_area_overhead", options.mapping.incomplete_area_overhead);

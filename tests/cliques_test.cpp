@@ -4,6 +4,7 @@
 
 #include "mbr/cliques.hpp"
 #include "reference/worked_example.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::mbr {
@@ -197,6 +198,14 @@ TEST_F(PartitionFixture, SmallComponentLeftIntact) {
   const auto parts = partition_component(graph, design, component, options);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0].size(), 64u);
+}
+
+// Subgraphs are 64-bit masks downstream, so a wider bound fails up front
+// rather than inside a per-subgraph task.
+TEST_F(PartitionFixture, RejectsBoundAboveSixtyFour) {
+  PartitionOptions options;
+  options.max_nodes = 65;
+  EXPECT_THROW(partition_graph(graph, design, options), util::AssertionError);
 }
 
 TEST_F(PartitionFixture, PartitionGraphHandlesWholeGraph) {

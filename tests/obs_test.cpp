@@ -471,7 +471,6 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.composition.enumeration.use_weights =
       !o.composition.enumeration.use_weights;
   o.composition.enumeration.max_candidates_per_subgraph /= 2;
-  o.composition.solver.max_nodes += 1234;
   o.mapping.incomplete_area_overhead += 0.075;
   o.route.gcell_size -= 2.0;
   o.route.h_capacity -= 30.0;
@@ -520,7 +519,6 @@ TEST(FlowReport, OptionsEchoIsComplete) {
       "composition.enumeration.max_candidates_per_subgraph",
       "composition.enumeration.use_weights",
       "composition.partition.max_nodes",
-      "composition.solver.max_nodes",
       "cost.alpha",
       "cost.beta",
       "cost.gamma",
