@@ -31,7 +31,7 @@
 #include "benchgen/generator.hpp"
 #include "mbr/flow.hpp"
 #include "obs/json.hpp"
-#include "util/stopwatch.hpp"
+#include "obs/trace.hpp"
 
 using namespace mbrc;
 
@@ -80,10 +80,12 @@ int main() {
   for (const int factor : factors) {
     const benchgen::DesignProfile profile =
         benchgen::scaled_profiles(factor).front();
-    util::Stopwatch generate_clock;
-    const benchgen::GeneratedDesign generated =
-        benchgen::generate_design(library, profile);
-    const double generate_seconds = generate_clock.seconds();
+    obs::StageTable setup;
+    const benchgen::GeneratedDesign generated = [&] {
+      obs::Span span("generate", setup);
+      return benchgen::generate_design(library, profile);
+    }();
+    const double generate_seconds = setup.at("generate").seconds;
     std::cout << profile.name << ": " << profile.register_cells
               << " registers, generated in " << generate_seconds << " s\n";
 

@@ -20,10 +20,10 @@
 
 #include "benchgen/generator.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sta/timing_engine.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 
 using namespace mbrc;
 
@@ -74,25 +74,28 @@ RunResult run_at_jobs(const netlist::Design& design, double clock_period,
   options.clock_period = clock_period;
   options.jobs = jobs;
 
+  obs::StageTable stages;
   std::vector<double> full_wns;
   full_wns.reserve(trajectory.size());
   {
-    util::Stopwatch clock;
+    obs::Span span("full", stages);
     for (const sta::SkewMap& skew : trajectory)
       full_wns.push_back(sta::run_sta(design, options, skew).wns());
-    r.full_seconds = clock.seconds();
   }
+  r.full_seconds = stages.at("full").seconds;
 
   {
     sta::TimingEngine engine(design, options);
-    util::Stopwatch clock;
     std::size_t repaired = 0;
-    for (std::size_t i = 0; i < trajectory.size(); ++i) {
-      const sta::TimingReport& report = engine.update(trajectory[i]);
-      repaired += engine.stats().last_repaired_pins;
-      if (report.wns() != full_wns[i]) r.identical = false;
+    {
+      obs::Span span("incremental", stages);
+      for (std::size_t i = 0; i < trajectory.size(); ++i) {
+        const sta::TimingReport& report = engine.update(trajectory[i]);
+        repaired += engine.stats().last_repaired_pins;
+        if (report.wns() != full_wns[i]) r.identical = false;
+      }
     }
-    r.incremental_seconds = clock.seconds();
+    r.incremental_seconds = stages.at("incremental").seconds;
     r.avg_repaired_pins = static_cast<double>(repaired) /
                           static_cast<double>(trajectory.size());
   }

@@ -7,7 +7,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::ilp {
@@ -388,16 +387,6 @@ SetPartitionResult solve_set_partition(const SetPartitionProblem& problem,
   }
   std::sort(result.chosen.begin(), result.chosen.end());
   return result;
-}
-
-std::vector<SetPartitionResult> solve_set_partitions(
-    const std::vector<SetPartitionProblem>& problems,
-    const SetPartitionOptions& options, int jobs) {
-  return runtime::parallel_transform(
-      &runtime::ThreadPool::global(), jobs, problems,
-      [&options](const SetPartitionProblem& problem) {
-        return solve_set_partition(problem, options);
-      });
 }
 
 }  // namespace mbrc::ilp

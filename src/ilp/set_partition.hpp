@@ -79,13 +79,4 @@ struct SetPartitionOptions {};
 SetPartitionResult solve_set_partition(const SetPartitionProblem& problem,
                                        const SetPartitionOptions& options = {});
 
-/// Solves many independent instances, fanning the branch & bound searches
-/// out across up to `jobs` threads. Every instance runs the same serial
-/// search with its own state (no shared incumbents), and results come back
-/// in input order, so the output -- including per-instance nodes_explored --
-/// is identical to calling solve_set_partition in a loop at any job count.
-std::vector<SetPartitionResult> solve_set_partitions(
-    const std::vector<SetPartitionProblem>& problems,
-    const SetPartitionOptions& options = {}, int jobs = 1);
-
 }  // namespace mbrc::ilp

@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "place/legalizer.hpp"
 #include "route/congestion.hpp"
-#include "runtime/stage_timer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sta/useful_skew.hpp"
 
@@ -146,15 +145,17 @@ struct FlowResult {
   place::LegalizeResult legalization;
   RestitchStats restitch;
   sta::SkewMap skew;
-  /// Wall time from the planning STA update through scan restitch: plan,
-  /// map, place, rewire, legalize, restitch.
+  /// Wall time of the composition proper (the paper's "Exec. Time"): the
+  /// sum of the sta.plan, plan, apply, legalize and scan_restitch rows of
+  /// `stages`.
   double compose_seconds = 0.0;
+  /// The `flow` row of `stages`: the whole of run_flow_stages.
   double total_seconds = 0.0;
-  /// Per-stage wall times and work counts, recorded by the flow's
-  /// runtime::StageTimer probes.
-  /// Measurement only: stage timings vary run to run and are excluded from
-  /// the deterministic-output contract.
-  runtime::StageTable stages;
+  /// Per-stage wall seconds and calls, one row per obs::Span the flow opens
+  /// with this table. Measurement only: stage timings vary run to run and
+  /// are excluded from the deterministic-output contract; work counts live
+  /// in `counters`.
+  obs::StageTable stages;
   /// Work counts accumulated during this run (delta over the obs counter
   /// registry: solver nodes, simplex iterations, repair-cone sizes, cliques
   /// enumerated, ...). Deterministic output: bit-identical at any `jobs`

@@ -149,7 +149,7 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.key("stages").begin_object();
   for (const auto& [name, s] : result.stages) {
     w.key(name).begin_object();
-    w.kv("seconds", s.seconds).kv("calls", s.calls).kv("items", s.items);
+    w.kv("seconds", s.seconds).kv("calls", s.calls);
     w.end_object();
   }
   w.end_object();

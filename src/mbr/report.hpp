@@ -19,7 +19,7 @@ struct FlowResult;
 
 /// Current value of the report's "schema" field; bump on layout changes so
 /// trajectory tooling can branch on it.
-inline constexpr int kFlowReportSchema = 4;
+inline constexpr int kFlowReportSchema = 5;
 
 void write_flow_report(std::ostream& os, const FlowOptions& options,
                        const FlowResult& result);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include <ostream>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace mbrc::obs::flight {
 
@@ -63,11 +63,8 @@ RingTable& table() {
 }
 
 std::int64_t now_us() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point epoch = clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                               epoch)
-      .count();
+  static const std::int64_t epoch_ns = now_ns();
+  return (now_ns() - epoch_ns) / 1000;
 }
 
 /// Seqlock write of one slot: mark odd, store fields, release the even

@@ -7,7 +7,7 @@
 // Design:
 //   - Each thread owns a ring of kRingCapacity fixed-size slots. Recording
 //     is wait-free for the owner: bump the head, seqlock-write one slot. No
-//     allocation, no locks, no clock syscalls beyond one steady_clock read.
+//     allocation, no locks, no clock syscalls beyond one obs::now_ns() read.
 //   - Every slot field is an atomic and each slot carries a sequence word
 //     (odd while being written), so a dump can run concurrently with
 //     recording from any thread — including another thread's — without a

@@ -1,19 +1,31 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cstdio>
 
 #include "obs/json.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::obs {
 
-namespace {
-
-std::int64_t steady_now_ns() {
+std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+std::string format_stage_table(const StageTable& stats) {
+  std::string out;
+  char line[160];
+  for (const auto& [name, s] : stats) {
+    std::snprintf(line, sizeof(line), "%-24s %6lld calls %9.3f s\n",
+                  name.c_str(), static_cast<long long>(s.calls), s.seconds);
+    out += line;
+  }
+  return out;
+}
+
+namespace {
 
 std::atomic<std::uint64_t> next_generation{1};
 
@@ -44,7 +56,7 @@ Tracer::~Tracer() {
 void Tracer::install() {
   MBRC_ASSERT_MSG(!installed_, "Tracer::install called twice");
   generation_ = next_generation.fetch_add(1, std::memory_order_relaxed);
-  epoch_ns_ = steady_now_ns();
+  epoch_ns_ = now_ns();
   installed_ = true;
   Tracer* expected = nullptr;
   const bool won = active_.compare_exchange_strong(
@@ -90,10 +102,6 @@ detail::ThreadBuffer* Tracer::local_buffer() {
   return raw;
 }
 
-std::int64_t Tracer::now_us() const {
-  return (steady_now_ns() - epoch_ns_) / 1000;
-}
-
 void Tracer::set_thread_label(std::string_view label) {
   Tracer* tracer = active();
   if (tracer == nullptr) return;
@@ -102,22 +110,33 @@ void Tracer::set_thread_label(std::string_view label) {
 
 void Span::begin(Tracer* tracer, std::string_view name) {
   tracer_ = tracer;
-  buffer_ = tracer->local_buffer();
   name_ = std::string(name);
-  depth_ = buffer_->depth++;
-  start_us_ = tracer->now_us();
+  if (tracer != nullptr) {
+    buffer_ = tracer->local_buffer();
+    depth_ = buffer_->depth++;
+  }
+  start_ns_ = now_ns();
 }
 
 void Span::end() {
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.tid = buffer_->tid;
-  event.depth = depth_;
-  event.start_us = start_us_;
-  event.dur_us = tracer_->now_us() - start_us_;
-  --buffer_->depth;
-  buffer_->events.push_back(std::move(event));
-  tracer_ = nullptr;
+  const std::int64_t end_ns = now_ns();
+  if (table_ != nullptr) {
+    StageStats& stats = (*table_)[name_];
+    stats.seconds += static_cast<double>(end_ns - start_ns_) / 1e9;
+    ++stats.calls;
+    table_ = nullptr;
+  }
+  if (tracer_ != nullptr) {
+    TraceEvent event;
+    event.name = std::move(name_);
+    event.tid = buffer_->tid;
+    event.depth = depth_;
+    event.start_us = tracer_->since_install_us(start_ns_);
+    event.dur_us = tracer_->since_install_us(end_ns) - event.start_us;
+    --buffer_->depth;
+    buffer_->events.push_back(std::move(event));
+    tracer_ = nullptr;
+  }
 }
 
 void write_chrome_trace(std::ostream& os, const TraceData& trace) {

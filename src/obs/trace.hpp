@@ -1,4 +1,5 @@
-// Hierarchical span tracer with Chrome trace_event export.
+// The one way to time things: a hierarchical span tracer with Chrome
+// trace_event export, and the per-stage table the flow reports.
 //
 // One Tracer is installed for the duration of a traced flow run; `Span`
 // probes throughout the codebase then record named, nested wall-clock
@@ -6,10 +7,16 @@
 // buffer is written only by its owning thread). The result loads in
 // Perfetto / chrome://tracing.
 //
-// Zero-cost when off: with no tracer installed, constructing a Span is a
-// single relaxed-failure atomic load and no clock read. Span durations are
-// wall time and therefore *measurement, not output* — the mbrc-lint R6 rule
-// enforces that they never feed flow results (DESIGN.md §11).
+// A Span built with a StageTable also adds its wall seconds and one call to
+// that table's row when it closes, traced or not; the flow's stage rows
+// (FlowResult::stages) come from these spans and nothing else. now_ns() is
+// the only measurement read of the clock in src/.
+//
+// Zero-cost when off: with no tracer installed, constructing a Span without
+// a table is a single relaxed-failure atomic load and no clock read. Span
+// durations are wall time and therefore *measurement, not output* — the
+// mbrc-lint R6 rule enforces that they never feed flow results (DESIGN.md
+// §11); deterministic work counts live in obs/counters.hpp.
 //
 // Lifecycle contract: install() -> record spans -> join all worker activity
 // -> uninstall() -> take(). The caller must quiesce every thread that
@@ -19,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,6 +36,22 @@
 #include <vector>
 
 namespace mbrc::obs {
+
+/// Monotonic wall-clock nanoseconds (steady_clock, arbitrary epoch). Every
+/// measurement in src/ reads the clock through this function.
+std::int64_t now_ns();
+
+/// One row of a stage table: accumulated wall seconds and closed spans.
+struct StageStats {
+  double seconds = 0.0;
+  std::int64_t calls = 0;
+};
+
+using StageTable = std::map<std::string, StageStats, std::less<>>;
+
+/// Formats a table as one line per stage (name, calls, seconds), in name
+/// order.
+std::string format_stage_table(const StageTable& stats);
 
 /// One closed span. `start_us`/`dur_us` are microseconds relative to the
 /// tracer's install time; `depth` is the nesting depth on its thread (0 =
@@ -95,7 +119,10 @@ private:
   /// only by the calling thread.
   detail::ThreadBuffer* local_buffer();
 
-  std::int64_t now_us() const;
+  /// Microseconds from install time to the now_ns() reading `ns`.
+  std::int64_t since_install_us(std::int64_t ns) const {
+    return (ns - epoch_ns_) / 1000;
+  }
 
   static std::atomic<Tracer*> active_;
 
@@ -107,18 +134,31 @@ private:
 };
 
 /// RAII span probe. Construct at the top of the region to measure; the
-/// span closes (and the event is appended) at scope exit.
+/// span closes (and the event is appended) at scope exit or at close().
 class Span {
 public:
+  /// Trace-only span: records an event while a tracer is installed and
+  /// costs one atomic load otherwise.
   explicit Span(std::string_view name) {
     if (Tracer* t = Tracer::active()) begin(t, name);
+  }
+
+  /// Stage span: reads the clock whether or not a tracer is installed, and
+  /// on close adds its seconds and one call to `table[name]`. When traced,
+  /// the row's seconds and the event's dur_us come from the same two clock
+  /// reads.
+  Span(std::string_view name, StageTable& table) : table_(&table) {
+    begin(Tracer::active(), name);
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  ~Span() {
-    if (tracer_ != nullptr) end();
+  ~Span() { close(); }
+
+  /// Closes now instead of at scope exit; idempotent.
+  void close() {
+    if (tracer_ != nullptr || table_ != nullptr) end();
   }
 
 private:
@@ -126,9 +166,10 @@ private:
   void end();
 
   Tracer* tracer_ = nullptr;
+  StageTable* table_ = nullptr;
   detail::ThreadBuffer* buffer_ = nullptr;
   std::string name_;
-  std::int64_t start_us_ = 0;
+  std::int64_t start_ns_ = 0;
   int depth_ = 0;
 };
 

@@ -1,6 +1,6 @@
 #include "service/daemon.hpp"
 
-#include <chrono>
+#include <array>
 #include <fstream>
 #include <future>
 #include <istream>
@@ -8,6 +8,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "benchgen/generator.hpp"
@@ -23,15 +24,24 @@ namespace {
 
 // Request latency is wall clock and therefore measurement-only: it is
 // surfaced by the stats verb (DESIGN.md §11) and no response payload ever
-// depends on it. The alias keeps the daemon's clock-exempt surface to this
-// one declaration.
-// mbrc-lint: allow(R3, request-latency measurement for the stats verb; measurement-only, no response content depends on it)
-using LatencyClock = std::chrono::steady_clock;
+// depends on it. A request starts on the reading thread and finishes on a
+// strand, so its latency is two obs::now_ns() reads, not a scoped Span.
+double micros_since(std::int64_t start_ns) {
+  return static_cast<double>(obs::now_ns() - start_ns) / 1e3;
+}
 
-double micros_since(LatencyClock::time_point start) {
-  return std::chrono::duration<double, std::micro>(LatencyClock::now() -
-                                                   start)
-      .count();
+// Session verbs that execute() answers. Any other cmd string comes from
+// an untrusted client, so its latency is filed under one "unknown" key
+// instead of growing the recorder (and every stats reply) without bound.
+// Keep in step with the dispatch in Daemon::execute.
+constexpr std::array<std::string_view, 9> kSessionVerbs = {
+    "apply_edits", "check", "close", "list_registers", "open_design",
+    "query_timing", "recompose_region", "rollback", "snapshot"};
+
+std::string_view latency_key(std::string_view cmd) {
+  for (const std::string_view verb : kSessionVerbs)
+    if (cmd == verb) return verb;
+  return "unknown";
 }
 
 std::string fail(std::int64_t id, const std::string& message) {
@@ -204,7 +214,7 @@ void Daemon::handle(std::string line, std::function<void(std::string)> sink) {
   static obs::Counter& c_requests = obs::counter("service.requests");
   static obs::Counter& c_bad = obs::counter("service.requests.bad");
   c_requests.add(1);
-  const LatencyClock::time_point t_received = LatencyClock::now();
+  const std::int64_t t_received = obs::now_ns();
 
   const obs::JsonParseResult parsed = obs::parse_json(line);
   if (!parsed.ok) {
@@ -321,7 +331,8 @@ void Daemon::handle(std::string line, std::function<void(std::string)> sink) {
       }
     }
     update_gauges(*strand);
-    latency_.record(request->string_or("cmd", ""), micros_since(t_received));
+    latency_.record(latency_key(request->string_or("cmd", "")),
+                    micros_since(t_received));
     sink(std::move(response));
   });
 }

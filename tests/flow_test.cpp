@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
 
 #include "benchgen/generator.hpp"
 #include "mbr/flow.hpp"
@@ -189,6 +191,44 @@ protected:
                               m.design.area);
   }
 };
+
+// Stage rows come from the flow's spans and nothing else: the same rows
+// and calls with tracing off and on, and when traced each row's seconds is
+// its spans' dur_us (floored to 1 us at each end of each span).
+TEST_F(DebankFixture, StageRowsAreTheFlowsSpansTracedOrNot) {
+  FlowOptions options;
+  options.debank_loop = true;
+  const FlowResult untraced = run(options);
+  options.trace = true;
+  const FlowResult traced = run(options);
+
+  const auto rows = [](const FlowResult& r) {
+    std::map<std::string, std::int64_t> calls;
+    for (const auto& [name, stats] : r.stages) calls[name] = stats.calls;
+    return calls;
+  };
+  EXPECT_EQ(rows(untraced), rows(traced));
+  EXPECT_TRUE(traced.stages.contains("debank_loop"));
+
+  std::map<std::string, std::int64_t> span_us;
+  for (const obs::TraceEvent& e : traced.trace.events)
+    if (traced.stages.contains(e.name)) span_us[e.name] += e.dur_us;
+  for (const auto& [name, stats] : traced.stages) {
+    ASSERT_TRUE(span_us.contains(name)) << name;
+    EXPECT_NEAR(stats.seconds * 1e6, static_cast<double>(span_us[name]),
+                static_cast<double>(stats.calls) + 1e-6)
+        << name;
+  }
+
+  for (const FlowResult* r : {&untraced, &traced}) {
+    EXPECT_EQ(r->total_seconds, r->stages.at("flow").seconds);
+    double compose = 0.0;
+    for (const char* stage :
+         {"sta.plan", "plan", "apply", "legalize", "scan_restitch"})
+      if (r->stages.contains(stage)) compose += r->stages.at(stage).seconds;
+    EXPECT_EQ(r->compose_seconds, compose);
+  }
+}
 
 TEST_F(DebankFixture, LoopConvergesWithMonotoneCost) {
   FlowOptions options;

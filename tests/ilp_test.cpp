@@ -7,6 +7,7 @@
 
 #include "ilp/set_partition.hpp"
 #include "reference/branch_and_bound.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::ilp {
@@ -365,18 +366,24 @@ TEST(SetPartition, RejectsMoreThanSixtyFourElements) {
   EXPECT_THROW(solve_set_partition(p), util::AssertionError);
 }
 
-// The batch entry point returns the serial per-instance results at any job
-// count, node counts included.
+// Each solve owns its search state (no shared incumbents or memo), so
+// fanning instances out across threads returns the serial per-instance
+// results at any job count, node counts included.
 TEST(SetPartition, BatchIsIdenticalAtOneAndFourJobs) {
   util::Rng rng(99);
   std::vector<SetPartitionProblem> problems;
   for (int i = 0; i < 12; ++i)
     problems.push_back(i % 3 == 0 ? near_uniform_instance(rng, 16, 0.7)
                                   : random_wide_instance(rng, 16 + i % 5));
-  const std::vector<SetPartitionResult> serial =
-      solve_set_partitions(problems, {}, 1);
-  const std::vector<SetPartitionResult> parallel =
-      solve_set_partitions(problems, {}, 4);
+  runtime::ThreadPool pool(3);
+  const auto solve_all = [&](int jobs) {
+    return runtime::parallel_transform(
+        &pool, jobs, problems, [](const SetPartitionProblem& problem) {
+          return solve_set_partition(problem);
+        });
+  };
+  const std::vector<SetPartitionResult> serial = solve_all(1);
+  const std::vector<SetPartitionResult> parallel = solve_all(4);
   ASSERT_EQ(serial.size(), problems.size());
   ASSERT_EQ(parallel.size(), problems.size());
   for (std::size_t i = 0; i < problems.size(); ++i) {

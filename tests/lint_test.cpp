@@ -283,15 +283,25 @@ TEST(LintR3Clock, PosixClockCallsAreFlagged) {
 }
 
 TEST(LintR3Clock, SanctionedMeasurementFilesAreExempt) {
-  const std::vector<SourceFile> files = {
+  // src/obs/ is the only clock-exempt path: obs::now_ns() is the one
+  // measurement read of the clock, and every other layer times through
+  // obs::Span. The runtime and util layers get no exemption.
+  EXPECT_EQ(LintOptions{}.clock_exempt_paths,
+            std::vector<std::string>{"src/obs/"});
+  const std::vector<SourceFile> exempt = {
       {"src/obs/trace.cpp",
-       "long now() { return std::chrono::steady_clock::now()"
+       "long now_ns() { return std::chrono::steady_clock::now()"
        ".time_since_epoch().count(); }\n"},
-      {"src/runtime/stage_timer.hpp",
+      {"src/obs/trace.hpp", "using Clock = std::chrono::steady_clock;\n"}};
+  EXPECT_TRUE(run_lint(exempt, {}, {}).active().empty());
+
+  const std::vector<SourceFile> outside = {
+      {"src/runtime/thread_pool.hpp",
        "using Clock = std::chrono::steady_clock;\n"},
-      {"src/util/stopwatch.hpp",
-       "using Clock = std::chrono::steady_clock;\n"}};
-  EXPECT_TRUE(run_lint(files, {}, {}).active().empty());
+      {"src/util/timer.hpp", "using Clock = std::chrono::steady_clock;\n"}};
+  const auto fired = run_lint(outside, {}, {});
+  ASSERT_EQ(fired.active().size(), 2u);
+  for (const Finding* f : fired.active()) EXPECT_EQ(f->rule, "R3");
 }
 
 TEST(LintR3Clock, ServiceLayerIsNotClockExempt) {
@@ -333,9 +343,9 @@ TEST(LintR3Clock, FlightRecorderIsExemptViaTheObsPath) {
 }
 
 TEST(LintR3Clock, DaemonLatencyClockNeedsItsReasonedAllow) {
-  // The daemon's request-latency clock read (the stats verb's percentile
-  // source) is in src/service/, NOT exempt: without the reasoned allow the
-  // exact code fires, and with it (as daemon.cpp carries) it is clean.
+  // src/service/ is NOT exempt: the daemon times requests through
+  // obs::now_ns(), and a private latency clock there fires unless it
+  // carries a reasoned allow.
   const std::vector<SourceFile> bare = {
       {"src/service/daemon.cpp",
        "using LatencyClock = std::chrono::steady_clock;\n"}};
@@ -381,21 +391,20 @@ TEST(LintR3Clock, DurationConstructorsAreNotClockReads) {
 // --- R6: wall-clock values feeding flow decisions --------------------------
 
 TEST(LintR6, StopwatchComparisonIsFlagged) {
+  // A stage row's seconds is the wall-clock value the flow's spans produce.
   const auto result = lint_one(R"(
-    bool over_budget() {
-      util::Stopwatch clock;
-      return clock.seconds() > 0.5;
+    bool over_budget(const FlowResult& result) {
+      return result.stages.at("plan").seconds > 0.5;
     }
   )");
   ASSERT_EQ(active_rules(result), std::vector<std::string>{"R6"});
-  EXPECT_NE(result.findings[0].message.find("clock"), std::string::npos);
+  EXPECT_NE(result.findings[0].message.find("seconds"), std::string::npos);
 }
 
 TEST(LintR6, TimingVariableComparisonIsFlagged) {
   const auto result = lint_one(R"(
-    void f(std::vector<int>& out) {
-      util::Stopwatch clock;
-      double elapsed = clock.seconds();
+    void f(const FlowResult& result, std::vector<int>& out) {
+      double elapsed = result.total_seconds;
       if (elapsed > 1.0) out.push_back(1);
     }
   )");
@@ -405,12 +414,13 @@ TEST(LintR6, TimingVariableComparisonIsFlagged) {
 
 TEST(LintR6, ComparisonOnRightHandSideIsFlagged) {
   const auto result = lint_one(R"(
-    bool f() {
-      util::Stopwatch clock;
-      return 0.5 < clock.seconds();
+    bool f(const FlowResult& result, const StageStats* row) {
+      return 0.5 < result.compose_seconds || 0.5 < row->seconds ||
+             0.5 < result.stages.at("plan").seconds;
     }
   )");
-  ASSERT_EQ(active_rules(result), std::vector<std::string>{"R6"});
+  EXPECT_EQ(active_rules(result),
+            (std::vector<std::string>{"R6", "R6", "R6"}));
 }
 
 TEST(LintR6, RecordingIntoReportFieldIsNotFlagged) {
@@ -418,8 +428,8 @@ TEST(LintR6, RecordingIntoReportFieldIsNotFlagged) {
   // decisions.
   const auto result = lint_one(R"(
     void f(FlowResult& result) {
-      util::Stopwatch total_clock;
-      result.total_seconds = total_clock.seconds();
+      result.total_seconds = result.stages.at("flow").seconds;
+      result.compose_seconds += result.stages.at("plan").seconds;
     }
   )");
   EXPECT_TRUE(result.active().empty());
@@ -429,20 +439,22 @@ TEST(LintR6, ObservabilityLayerIsExempt) {
   const std::vector<SourceFile> files = {
       {"src/obs/trace.cpp",
        R"(
-         bool slow(util::Stopwatch& clock) {
-           return clock.seconds() > 1.0;
+         bool slow(const StageStats& stats) {
+           return stats.seconds > 1.0;
          }
        )"}};
   EXPECT_TRUE(run_lint(files, {}, {}).active().empty());
 }
 
 TEST(LintR6, NonTimingDoubleComparisonIsNotFlagged) {
-  // A stopwatch in scope must not taint unrelated comparisons.
+  // A timing value in scope must not taint unrelated comparisons, and a
+  // field that merely ends in "seconds" is not a clock reading.
   const auto result = lint_one(R"(
-    bool f(double slack) {
-      util::Stopwatch clock;
+    bool f(const FlowResult& result, const ServerOptions& options,
+           double slack, double idle) {
+      const double total = result.total_seconds;
       double best = slack;
-      return best > 0.0;
+      return best > 0.0 && idle >= options.idle_timeout_seconds;
     }
   )");
   EXPECT_TRUE(result.active().empty());

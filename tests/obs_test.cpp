@@ -213,6 +213,28 @@ TEST(Trace, CollectsNestedSpansWithDepths) {
   EXPECT_EQ(data.thread_names.begin()->second, "test-main");
 }
 
+TEST(Trace, StageSpansRecordCallsAndTimeWithoutATracer) {
+  ASSERT_EQ(Tracer::active(), nullptr);
+  StageTable table;
+  for (int i = 0; i < 3; ++i) {
+    Span span("stage.a", table);
+  }
+  {
+    Span span("stage.b", table);
+    span.close();
+    span.close();  // idempotent: records once
+  }
+
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.at("stage.a").calls, 3);
+  EXPECT_GE(table.at("stage.a").seconds, 0.0);
+  EXPECT_EQ(table.at("stage.b").calls, 1);
+
+  const std::string report = format_stage_table(table);
+  EXPECT_NE(report.find("stage.a"), std::string::npos);
+  EXPECT_NE(report.find("stage.b"), std::string::npos);
+}
+
 TEST(Trace, SecondTracerDoesNotInheritEvents) {
   {
     Tracer first;

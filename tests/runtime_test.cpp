@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/stage_timer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/arena.hpp"
 
@@ -200,29 +199,6 @@ TEST(ParallelTransform, MatchesSerialMapInOrder) {
 
   ASSERT_EQ(serial.size(), items.size());
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(StageTimerTest, RecordsCallsItemsAndTime) {
-  StageTable table;
-  for (int i = 0; i < 3; ++i) {
-    StageTimer timer(table, "stage.a");
-    timer.add_items(10);
-  }
-  {
-    StageTimer timer(table, "stage.b");
-    timer.stop();
-    timer.stop();  // idempotent: records once
-  }
-
-  ASSERT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.at("stage.a").calls, 3);
-  EXPECT_EQ(table.at("stage.a").items, 30);
-  EXPECT_GE(table.at("stage.a").seconds, 0.0);
-  EXPECT_EQ(table.at("stage.b").calls, 1);
-
-  const std::string report = format_stage_table(table);
-  EXPECT_NE(report.find("stage.a"), std::string::npos);
-  EXPECT_NE(report.find("stage.b"), std::string::npos);
 }
 
 }  // namespace

@@ -557,6 +557,39 @@ TEST(ServiceTest, ProtocolErrorsAreReported) {
   expect_error(query_request(10, "s", {}, {}), "unknown session");
 }
 
+// The cmd string is untrusted: every unknown verb answers ok:false, and
+// their latencies share one "unknown" key, so a client cannot grow the
+// latency recorder or the stats reply without bound.
+TEST(ServiceTest, UnknownVerbsShareOneLatencyKey) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 1});
+  parse_ok(daemon.handle_sync(open_request(1, "s")));
+  for (int i = 0; i < 1000; ++i) {
+    const std::string line = "{\"id\":" + std::to_string(i + 2) +
+                             ",\"cmd\":\"verb_" + std::to_string(i) +
+                             "\",\"session\":\"s\"}";
+    const obs::JsonParseResult parsed =
+        obs::parse_json(daemon.handle_sync(line));
+    ASSERT_TRUE(parsed.ok);
+    EXPECT_FALSE(parsed.value.bool_or("ok", true));
+    EXPECT_NE(parsed.value.string_or("error", "").find("unknown cmd"),
+              std::string::npos);
+  }
+
+  const obs::JsonValue stats =
+      parse_ok(daemon.handle_sync("{\"id\":9999,\"cmd\":\"stats\"}"));
+  const obs::JsonValue* verbs = stats.find("verbs");
+  ASSERT_NE(verbs, nullptr);
+  // 9 session verbs + ping, shutdown, stats, trace_start, trace_stop, plus
+  // the shared "unknown" key.
+  constexpr std::size_t kKnownVerbs = 14;
+  EXPECT_LE(verbs->members().size(), kKnownVerbs + 1);
+  const obs::JsonValue* unknown = verbs->find("unknown");
+  ASSERT_NE(unknown, nullptr);
+  EXPECT_EQ(unknown->int_or("count", -1), 1000);
+  EXPECT_NE(verbs->find("open_design"), nullptr);
+}
+
 // A batch stopping at its first invalid edit reports the prefix applied
 // and the failing index; earlier edits stay applied.
 TEST(ServiceTest, EditBatchStopsAtFirstInvalidEdit) {

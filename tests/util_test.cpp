@@ -5,7 +5,6 @@
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace mbrc::util {
@@ -143,19 +142,6 @@ TEST(Rng, GaussianMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.05);
   EXPECT_NEAR(var, 4.0, 0.2);
-}
-
-TEST(Stopwatch, MeasuresElapsedTime) {
-  Stopwatch sw;
-  EXPECT_GE(sw.seconds(), 0.0);
-  // Burn a little CPU; elapsed must be non-decreasing.
-  volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
-  const double t1 = sw.seconds();
-  EXPECT_GE(t1, 0.0);
-  sw.reset();
-  EXPECT_LE(sw.seconds(), t1 + 1.0);
-  EXPECT_NEAR(sw.milliseconds(), sw.seconds() * 1e3, 50.0);  // separate reads
 }
 
 TEST(Table, AlignsAndFormats) {

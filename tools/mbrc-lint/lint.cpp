@@ -51,6 +51,12 @@ const std::set<std::string> kClockIdents = {
     "steady_clock", "system_clock", "high_resolution_clock",
     "clock_gettime", "gettimeofday"};
 
+// The only wall-clock values code outside src/obs/ can hold (R6): a stage
+// row's obs::StageStats::seconds and FlowResult's total_seconds and
+// compose_seconds, each reached as a member (`x.seconds`, `p->seconds`).
+const std::set<std::string> kClockFields = {"seconds", "total_seconds",
+                                            "compose_seconds"};
+
 // ---------------------------------------------------------------------------
 // Cross-file tables.
 // ---------------------------------------------------------------------------
@@ -338,9 +344,8 @@ struct Engine {
     return false;
   }
 
-  /// Clock exemption is a substring match (unlike the RNG suffix match):
-  /// it names whole directories (src/obs/) as well as file stems
-  /// (runtime/stage_timer covers both .hpp and .cpp).
+  /// Clock exemption is a substring match (unlike the RNG suffix match), so
+  /// an entry can name a whole directory (src/obs/).
   bool clock_exempt() const {
     for (const std::string& part : options.clock_exempt_paths)
       if (scan->file->path.find(part) != std::string::npos) return true;
@@ -357,9 +362,8 @@ struct Engine {
         emit("R3", t[i],
              "reads the wall clock via '" + t[i].text +
                  "' -- wall-clock time is measurement-only and confined to "
-                 "src/obs/, runtime/stage_timer and util/stopwatch.hpp "
-                 "(DESIGN.md section 11); time a region with "
-                 "runtime::StageTimer or obs::Span instead");
+                 "src/obs/ (DESIGN.md section 11); time a region with "
+                 "obs::Span instead");
       if (rng_ok) continue;
       if (t[i].kind == TokKind::kIdent) {
         if ((t[i].text == "rand" || t[i].text == "srand") &&
@@ -498,55 +502,61 @@ struct Engine {
     if (clock_exempt()) return;
     const auto& t = scan->tokens;
 
-    // Stopwatch-typed variables declared in this file (locals, members,
-    // reference parameters).
-    std::set<std::string> watches;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!is(t, i, "Stopwatch")) continue;
-      std::size_t j = i + 1;
-      while (is(t, j, "&") || is(t, j, "*") || is(t, j, "const")) ++j;
-      if (is_ident(t, j) && j + 1 < t.size() &&
-          decl_terminator(t[j + 1].text) && t[j + 1].text != "(")
-        watches.insert(t[j].text);
-    }
-    if (watches.empty()) return;
-
-    // Plain variables assigned from a stopwatch reading. Member accesses on
-    // the left (`result.total_seconds = clock.seconds()`) are the sanctioned
-    // report-recording pattern and stay untracked.
-    std::set<std::string> timing_vars;
-    for (std::size_t i = 0; i + 5 < t.size(); ++i) {
-      if (is_ident(t, i) && is(t, i + 1, "=") && is_ident(t, i + 2) &&
-          watches.contains(t[i + 2].text) && is(t, i + 3, ".") &&
-          is(t, i + 4, "seconds") && is(t, i + 5, "(") &&
-          (i == 0 || (t[i - 1].text != "." && t[i - 1].text != "->")))
-        timing_vars.insert(t[i].text);
-    }
-
-    // `SW.seconds()` whose closing paren sits at `close`.
-    const auto seconds_call_ending_at = [&](std::size_t close) -> std::string {
-      if (close < 4 || t[close].text != ")" || t[close - 1].text != "(" ||
-          t[close - 2].text != "seconds" || t[close - 3].text != ".")
+    // `.seconds` / `->total_seconds` / ... ending at `j`: the culprit's
+    // name ("stats.seconds"), or empty.
+    const auto clock_member_at = [&](std::size_t j) -> std::string {
+      if (j < 2 || !is_ident(t, j) || !kClockFields.contains(t[j].text) ||
+          (t[j - 1].text != "." && t[j - 1].text != "->"))
         return {};
-      if (is_ident(t, close - 4) && watches.contains(t[close - 4].text))
-        return t[close - 4].text;
-      return {};
+      return is_ident(t, j - 2) ? t[j - 2].text + t[j - 1].text + t[j].text
+                                : t[j].text;
+    };
+
+    // Plain variables assigned from an expression that reads a clock
+    // member. Member accesses on the left (`result.total_seconds = ...`)
+    // are the sanctioned report-recording pattern and stay untracked.
+    std::set<std::string> timing_vars;
+    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+      if (!is_ident(t, i) || !is(t, i + 1, "=") ||
+          (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")))
+        continue;
+      for (std::size_t j = i + 2; j < t.size() && t[j].text != ";"; ++j)
+        if (!clock_member_at(j).empty()) {
+          timing_vars.insert(t[i].text);
+          break;
+        }
+    }
+
+    // The postfix chain starting at `i` (`a.b(...)[k]->c`): the culprit if
+    // it is a timing variable or ends in a clock member, else empty.
+    const auto right_operand = [&](std::size_t i) -> std::string {
+      if (!is_ident(t, i)) return {};
+      if (timing_vars.contains(t[i].text)) return t[i].text;
+      std::size_t last = i;
+      std::size_t j = i + 1;
+      while (j < t.size()) {
+        if ((is(t, j, ".") || is(t, j, "->")) && is_ident(t, j + 1)) {
+          last = j + 1;
+          j += 2;
+        } else if (is(t, j, "(")) {
+          j = match(t, j, "(", ")");
+        } else if (is(t, j, "[")) {
+          j = match(t, j, "[", "]");
+        } else {
+          break;
+        }
+      }
+      return clock_member_at(last);
     };
 
     for (std::size_t i = 1; i + 1 < t.size(); ++i) {
       const std::string& op = t[i].text;
       if (op != "<" && op != ">" && op != "<=" && op != ">=") continue;
-      std::string culprit = seconds_call_ending_at(i - 1);
+      std::string culprit = clock_member_at(i - 1);
       if (culprit.empty() && is_ident(t, i - 1) &&
           timing_vars.contains(t[i - 1].text))
         culprit = t[i - 1].text;
-      if (culprit.empty() && is_ident(t, i + 1) &&
-          timing_vars.contains(t[i + 1].text))
-        culprit = t[i + 1].text;
-      if (culprit.empty() && is_ident(t, i + 1) &&
-          watches.contains(t[i + 1].text) && is(t, i + 2, ".") &&
-          is(t, i + 3, "seconds"))
-        culprit = t[i + 1].text;
+      if (culprit.empty()) culprit = right_operand(i + 1);
       if (culprit.empty()) continue;
       emit("R6", t[i],
            "compares a wall-clock value from '" + culprit +

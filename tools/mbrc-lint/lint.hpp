@@ -22,9 +22,9 @@
 //       std::random_device, std:: engine types, and streaming pointer values
 //       (addresses differ per run under ASLR). The same rule scopes wall-
 //       clock reads (steady_clock, system_clock, high_resolution_clock,
-//       clock_gettime, gettimeofday) to the sanctioned measurement layer --
-//       src/obs/, runtime/stage_timer and util/stopwatch.hpp -- so new
-//       timing code cannot sprout outside the observability boundary.
+//       clock_gettime, gettimeofday) to the measurement layer, src/obs/,
+//       so new timing code cannot sprout outside the observability
+//       boundary: everything else times through obs::Span.
 //   R4  raw integer traffic that crosses the typed id spaces of
 //       src/netlist/ids.hpp: constructing one id type from another id's
 //       .index, arithmetic on .index inside an id constructor, or comparing
@@ -33,12 +33,14 @@
 //       to parallel_for/parallel_transform: FP addition is not associative,
 //       so an order-dependent reduction breaks the jobs bit-identity
 //       guarantee. Reduce into per-task slots and fold on one thread.
-//   R6  wall-clock values feeding flow decisions: a util::Stopwatch reading
-//       (sw.seconds(), or a variable assigned from one) used in a relational
-//       comparison. Timing is measurement-only (DESIGN.md section 11);
-//       branching on it makes results machine-dependent. Recording a timing
-//       into a report field (`result.total_seconds = clock.seconds()`) is
-//       fine and not flagged.
+//   R6  wall-clock values feeding flow decisions: a stage row's seconds
+//       (obs::StageStats::seconds) or FlowResult's total_seconds /
+//       compose_seconds -- or a variable assigned from an expression that
+//       reads one -- used in a relational comparison. Timing is
+//       measurement-only (DESIGN.md section 11); branching on it makes
+//       results machine-dependent. Recording a timing into a report field
+//       (`result.total_seconds = result.stages.at("flow").seconds`) is fine
+//       and not flagged.
 //
 // Suppression: `// mbrc-lint: allow(R1, reason why this is safe)` on the
 // finding's line or the line directly above. The reason is mandatory.
@@ -73,10 +75,9 @@ struct LintOptions {
   /// Path suffixes exempt from R3 (the sanctioned RNG lives here).
   std::vector<std::string> rng_exempt_paths = {"util/rng.hpp"};
   /// Path *substrings* exempt from the R3 clock-read check and from R6:
-  /// the observability layer and the stage timer are the sanctioned owners
-  /// of wall-clock time, and they legitimately read and compare it.
-  std::vector<std::string> clock_exempt_paths = {
-      "src/obs/", "runtime/stage_timer", "util/stopwatch.hpp"};
+  /// the observability layer is the sole owner of wall-clock time, and it
+  /// legitimately reads and compares it.
+  std::vector<std::string> clock_exempt_paths = {"src/obs/"};
 };
 
 /// Runs all enabled rules over the file set. Alias and field-type tables
